@@ -46,7 +46,7 @@ from .pipeline import (
     run_method4,
 )
 from .pointdata import PointDataset, read_points_csv, write_points_csv
-from .rasters import RasterGrid, raster_to_square_mean, read_ascii_grid, write_ascii_grid
+from .rasters import RasterGrid, read_ascii_grid, write_ascii_grid
 from .splits import SplitPlan, make_splits
 from .standardize import (
     StandardizationTransform,
@@ -57,7 +57,6 @@ from .standardize import (
 )
 from .synthetic import FieldSpec, SyntheticSpec, generate_synthetic
 from .terms import RawDesign, TermSpec, build_term_matrix, parse_term_id
-from .tps import ThinPlateSpline, eval_tps, fit_tps, points_to_square_mean
 
 __version__ = "0.1.0"
 
@@ -82,7 +81,6 @@ __all__ = [
     "StandardizedMatrix",
     "SyntheticSpec",
     "TermSpec",
-    "ThinPlateSpline",
     "TransformMismatchError",
     "apply_transform",
     "assemble_site_blocks",
@@ -91,13 +89,11 @@ __all__ = [
     "check_standardized",
     "covariate_support_report",
     "ensemble_weights",
-    "eval_tps",
     "evaluate_transfer",
     "expand_terms",
     "filter_collinear",
     "fit_ensemble",
     "fit_metrics",
-    "fit_tps",
     "fit_transform",
     "generate_synthetic",
     "kkt_residuals",
@@ -107,11 +103,9 @@ __all__ = [
     "member_predictions",
     "model_average",
     "parse_term_id",
-    "points_to_square_mean",
     "predict",
     "predict_raster",
     "predict_raster_two_stage",
-    "raster_to_square_mean",
     "read_ascii_grid",
     "read_points_csv",
     "run_method1",

@@ -67,6 +67,7 @@ def ensemble_from_dict(payload):
         )
         for body in payload["transforms"]
     ]
+    term_ids = set(payload["terms"])
     models = []
     for body, transform in zip(payload["models"], transforms):
         model = SelectedModel(
@@ -76,6 +77,11 @@ def ensemble_from_dict(payload):
             validation_sse=float(body["validation_sse"]),
             transform_ref=str(body["transform_ref"]),
         )
+        unknown = sorted(set(model.coef) - term_ids)
+        if unknown:
+            raise DataError(
+                f"ensemble artifact has coefficients for unknown terms {unknown[:8]}"
+            )
         if model.transform_ref != transform.transform_id:
             raise DataError(
                 "ensemble artifact is inconsistent: a model references "

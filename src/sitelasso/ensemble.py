@@ -8,11 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .lars import lar_lasso_path
-from .models import SelectedModel, predict
+from .models import SelectedModel
 from .pointdata import format_float
 from .standardize import apply_transform, fit_transform
+from .terms import evaluate_term
 
 log = logging.getLogger(__name__)
 
@@ -104,70 +105,151 @@ class Ensemble:
 
     def needed_covariates(self):
         """Covariates any member model actually reads."""
-        lookup = {t.term_id: t for t in self.terms}
-        names = set()
-        for model in self.models:
-            for cid in model.coef:
-                names.update(lookup[cid].covariates)
-        return sorted(names)
+        return linear_form(self).covariates
 
     def needs_site_information(self):
-        lookup = {t.term_id: t for t in self.terms}
-        return any(
-            lookup[cid].scope is not None
-            for model in self.models
-            for cid in model.coef
+        return bool(linear_form(self).sites)
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """An ensemble as one raw-space linear function per site.
+
+    Member i predicts b_i + sum_j c_ij (x_j - m_ij) / s_ij, where a
+    site-scoped term reads 0 on rows of other sites. Expanding the bracket
+    gives a slope c_ij / s_ij per term and an intercept per site,
+    b_i - sum_j c_ij m_ij / s_ij over the global terms and that site's
+    scoped terms. The weighted average of the members has the same form,
+    with weighted slopes and intercepts. Only the active terms, those some
+    member reads, appear.
+
+    Site index 0 stands for every site that scopes no active term, and
+    index k > 0 for ``sites[k - 1]``.
+    """
+
+    terms: list  # active terms, in the ensemble's term order
+    columns: np.ndarray  # their positions in the ensemble's term list
+    scope_index: np.ndarray  # per active term: 0 if global, else its site index
+    sites: tuple  # scopes of the active site-scoped terms, sorted
+    member_slopes: np.ndarray  # (n_models, n_active)
+    member_intercepts: np.ndarray  # (n_models, 1 + n_sites)
+    slopes: np.ndarray  # (n_active,) weighted member slopes
+    intercepts: np.ndarray  # (1 + n_sites,) weighted member intercepts
+
+    @property
+    def covariates(self):
+        return sorted({name for term in self.terms for name in term.covariates})
+
+    def site_index(self, row_sites):
+        """Per-row site index for an array of site names."""
+        row_sites = np.asarray(row_sites)
+        index = np.zeros(row_sites.shape, dtype=np.intp)
+        for k, site in enumerate(self.sites, start=1):
+            index[row_sites == site] = k
+        return index
+
+    def _scoped(self, columns, site_index):
+        for scope, values in zip(self.scope_index, columns):
+            yield values if scope == 0 else np.where(site_index == scope, values, 0.0)
+
+    def predict(self, columns, site_index):
+        """Ensemble prediction from the raw values of the active terms.
+
+        ``columns`` yields one raw column per active term, in ``terms``
+        order; scoped columns are zeroed on rows of other sites here.
+        Every row is computed on its own with the same operations, so a
+        row's result does not depend on which other rows come with it.
+        """
+        out = self.intercepts[site_index]
+        for slope, values in zip(self.slopes, self._scoped(columns, site_index)):
+            out += slope * values
+        return out
+
+    def predict_covariates(self, covariates, site_index):
+        """:meth:`predict` from covariate arrays (name -> value per row)."""
+        return self.predict(
+            (evaluate_term(t, covariates) for t in self.terms), site_index
         )
+
+    def member_predict(self, columns, site_index):
+        """(n_models, n_rows) predictions of every member, as one product."""
+        X = np.empty((len(self.terms), len(site_index)))
+        for k, values in enumerate(self._scoped(columns, site_index)):
+            X[k] = values
+        return self.member_slopes @ X + self.member_intercepts[:, site_index]
+
+
+def linear_form(ensemble):
+    """Derive the ensemble's raw-space linear form from its members alone.
+
+    Terms are visited in the ensemble's term order, whatever the order of a
+    model's coefficient map, so a fitted ensemble and its JSON round trip
+    give the same bits.
+    """
+    position = {cid: j for j, cid in enumerate(ensemble.column_ids)}
+    columns = sorted({position[cid] for model in ensemble.models for cid in model.coef})
+    terms = [ensemble.terms[j] for j in columns]
+    sites = tuple(sorted({t.scope for t in terms if t.scope is not None}))
+    scope_index = np.array(
+        [0 if t.scope is None else 1 + sites.index(t.scope) for t in terms],
+        dtype=np.intp,
+    )
+    slot = {j: k for k, j in enumerate(columns)}
+    slopes = np.zeros((ensemble.n_models, len(columns)))
+    intercepts = np.empty((ensemble.n_models, 1 + len(sites)))
+    for i, (model, transform) in enumerate(zip(ensemble.models, ensemble.transforms)):
+        intercepts[i] = model.intercept
+        for cid in sorted(model.coef, key=position.get):
+            j = position[cid]
+            k = slot[j]
+            slope = model.coef[cid] / transform.norms[j]
+            slopes[i, k] = slope
+            # a global term's offset applies to every site, a scoped one's to its own
+            target = slice(None) if scope_index[k] == 0 else scope_index[k]
+            intercepts[i, target] -= slope * transform.means[j]
+    return LinearForm(
+        terms=terms,
+        columns=np.asarray(columns, dtype=np.intp),
+        scope_index=scope_index,
+        sites=sites,
+        member_slopes=slopes,
+        member_intercepts=intercepts,
+        slopes=ensemble.weights @ slopes,
+        intercepts=ensemble.weights @ intercepts,
+    )
+
+
+def _design_columns(ensemble, design):
+    if design.column_ids != ensemble.column_ids:
+        raise DataError("design columns do not match the ensemble's term list")
+    form = linear_form(ensemble)
+    columns = (design.values[:, j] for j in form.columns)
+    return form, columns, form.site_index(design.row_sites)
 
 
 def member_predictions(ensemble, design):
     """Predictions of every member model on a shared raw design.
 
-    Each model standardizes the raw columns with its own training transform
-    (training means/norms only) before applying its coefficients.
+    Each member reads the raw columns through its own training transform
+    (training means/norms only), folded into its raw-space slopes and
+    intercepts.
 
     Returns
     -------
     (n_models, n_rows) array.
     """
-    if design.column_ids != ensemble.column_ids:
-        raise DataError("design columns do not match the ensemble's term list")
-    n = design.n_rows
-    out = np.empty((ensemble.n_models, n))
-    site_masks = {}
-    for i, (model, transform) in enumerate(zip(ensemble.models, ensemble.transforms)):
-        position = {t.term_id: j for j, t in enumerate(transform.terms)}
-        acc = np.full(n, model.intercept)
-        try:
-            for cid, coef in model.coef.items():
-                j = position[cid]
-                term = transform.terms[j]
-                col = design.values[:, j]
-                m = transform.means[j]
-                s = transform.norms[j]
-                if term.scope is None:
-                    acc += coef * ((col - m) / s)
-                else:
-                    if term.scope not in site_masks:
-                        site_masks[term.scope] = design.row_sites == term.scope
-                    mask = site_masks[term.scope]
-                    z = np.zeros(n)
-                    z[mask] = (col[mask] - m) / s
-                    acc += coef * z
-        except (KeyError, ZeroDivisionError, FloatingPointError) as exc:
-            raise NumericalError(f"transform replay failed for split {i}: {exc!r}")
-        out[i] = acc
-    return out
+    form, columns, site_index = _design_columns(ensemble, design)
+    return form.member_predict(columns, site_index)
 
 
 def model_average(ensemble, design):
     """Weighted-average prediction of the ensemble on raw data.
 
-    ``design`` is a RawDesign over exactly the ensemble's term list; every
-    member model applies its own training transform to it.
+    ``design`` is a RawDesign over exactly the ensemble's term list. The
+    prediction is the ensemble's linear form, evaluated on the active terms.
     """
-    preds = member_predictions(ensemble, design)
-    return ensemble.weights @ preds
+    form, columns, site_index = _design_columns(ensemble, design)
+    return form.predict(columns, site_index)
 
 
 def tally_selection(ensemble):

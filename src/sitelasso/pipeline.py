@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import fit_ensemble, member_predictions, model_average
+from .ensemble import fit_ensemble, linear_form, member_predictions, model_average
 from .errors import DataError
 from .features import assemble_site_blocks, expand_terms, filter_collinear
 from .models import fit_metrics
 from .pointdata import format_float
-from .terms import build_term_matrix, RawDesign
+from .terms import build_term_matrix
 
 log = logging.getLogger(__name__)
 
@@ -270,18 +270,16 @@ class TransferResult:
 def evaluate_transfer(source_run, target_data):
     """Predict another site's observations with a method-1 ensemble.
 
-    Uses the source models' training transforms and the source ensemble
-    weights unchanged; nothing is refitted. Raises DataError if the target
-    lacks a covariate the source models read.
+    Evaluates the source ensemble's linear form, built from the source
+    models' training transforms and weights unchanged; nothing is refitted.
+    Raises DataError if the target lacks a covariate the source models read.
     """
     if source_run.method != "m1":
         raise DataError("transfer needs a method-1 (single site) source run")
-    ens = source_run.ensemble
-    values = build_term_matrix(
-        target_data.covariate_map(), target_data.site_ids, ens.terms
+    form = linear_form(source_run.ensemble)
+    preds = form.predict_covariates(
+        target_data.covariate_map(), form.site_index(target_data.site_ids)
     )
-    design = RawDesign(values, list(ens.terms), target_data.site_ids)
-    preds = model_average(ens, design)
     target_sites = target_data.sites()
     label = target_sites[0] if len(target_sites) == 1 else COMBINED
     return TransferResult(

@@ -1,11 +1,10 @@
-"""Regular-grid rasters: ESRI ASCII IO and area-weighted square averaging.
+"""Regular-grid rasters and their ESRI ASCII form.
 
 Grids are row-major with row 0 the northernmost row, matching the on-disk
 layout of the ASCII format. All floating-point output is printed with 17
 significant digits so files round-trip bit-exactly.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +94,10 @@ def write_ascii_grid(path, grid):
         handle.write(f"yllcorner {format_float(grid.yll)}\n")
         handle.write(f"cellsize {format_float(grid.cellsize)}\n")
         handle.write(f"NODATA_value {format_float(grid.nodata)}\n")
-        for i in range(grid.nrows):
-            handle.write(" ".join(format_float(v) for v in grid.values[i]))
-            handle.write("\n")
+        # one %-operation per row prints each cell exactly as format_float does
+        template = " ".join(["%.17g"] * grid.ncols) + "\n"
+        for row in grid.values:
+            handle.write(template % tuple(row.tolist()))
 
 
 def read_ascii_grid(path):
@@ -140,70 +140,3 @@ def read_ascii_grid(path):
         nodata=nodata,
         values=values.reshape(nrows, ncols),
     )
-
-
-def _axis_overlaps(low_edge, cell, n_cells, lo, hi):
-    """Per-cell overlap lengths of [lo, hi] with a partitioned axis.
-
-    Returns (first_index, lengths) covering only cells with positive overlap.
-    """
-    first = max(0, int(math.floor((lo - low_edge) / cell)))
-    last = min(n_cells - 1, int(math.ceil((hi - low_edge) / cell)) - 1)
-    if last < first:
-        return 0, np.empty(0)
-    idx = np.arange(first, last + 1)
-    left = low_edge + idx * cell
-    right = left + cell
-    lengths = np.minimum(right, hi) - np.maximum(left, lo)
-    keep = lengths > 0.0
-    if not keep.any():
-        return 0, np.empty(0)
-    nz = np.flatnonzero(keep)
-    return first + nz[0], lengths[nz[0] : nz[-1] + 1]
-
-
-def raster_to_square_mean(grid, center, side=25.0):
-    """Area-weighted mean of the pixels intersecting an axis-aligned square.
-
-    The weight of each pixel is its intersection area with the square
-    centred at ``center`` with edge length ``side``. Raises DataError when
-    the square misses the raster entirely or any intersecting pixel is
-    nodata.
-    """
-    if not side > 0:
-        raise DataError("square side must be positive")
-    cx, cy = float(center[0]), float(center[1])
-    half = side / 2.0
-    x_lo, x_hi = cx - half, cx + half
-    y_lo, y_hi = cy - half, cy + half
-    col0, wx = _axis_overlaps(grid.xll, grid.cellsize, grid.ncols, x_lo, x_hi)
-    row_bottom0, wy_bottom = _axis_overlaps(
-        grid.yll, grid.cellsize, grid.nrows, y_lo, y_hi
-    )
-    if wx.size == 0 or wy_bottom.size == 0:
-        raise DataError(
-            f"square at ({format_float(cx)}, {format_float(cy)}) does not "
-            "intersect the raster extent"
-        )
-    total = 0.0
-    accum = 0.0
-    mask = grid.nodata_mask()
-    for b in range(wy_bottom.size):
-        row = grid.nrows - 1 - (row_bottom0 + b)  # bottom-up index -> stored row
-        wy = wy_bottom[b]
-        for a in range(wx.size):
-            col = col0 + a
-            if mask[row, col]:
-                raise DataError(
-                    f"square at ({format_float(cx)}, {format_float(cy)}) "
-                    f"overlaps nodata pixel (row {row}, col {col})"
-                )
-            area = wx[a] * wy
-            total += area
-            accum += grid.values[row, col] * area
-    if total <= 0.0:
-        raise DataError(
-            f"square at ({format_float(cx)}, {format_float(cy)}) does not "
-            "intersect the raster extent"
-        )
-    return accum / total

@@ -1,18 +1,21 @@
+import json
 import logging
 
 import numpy as np
 import pytest
 
+from sitelasso import artifacts
 from sitelasso.ensemble import (
     ensemble_weights,
     fit_ensemble,
+    linear_form,
     member_predictions,
     model_average,
     select_knot,
     tally_selection,
 )
 from sitelasso.errors import DataError
-from sitelasso.features import expand_terms
+from sitelasso.features import assemble_site_blocks, expand_terms
 from sitelasso.lars import LassoPath, PathKnot, lar_lasso_path
 from sitelasso.models import predict
 from sitelasso.pointdata import PointDataset
@@ -114,9 +117,11 @@ def site_dataset(seed=0, n_a=14, n_b=12, p=3):
     )
 
 
-def fitted_toy_ensemble(workers=1, n_splits=12, seed=0):
+def fitted_toy_ensemble(workers=1, n_splits=12, seed=0, site_blocks=False):
     data = site_dataset(seed)
     design = expand_terms(data, max_order=2)
+    if site_blocks:
+        design = assemble_site_blocks(design)
     plan = make_splits(data, {"A": 9, "B": 8}, n_splits=n_splits, seed=seed)
     splits = [plan.combined_split(i) for i in range(plan.n_splits)]
     ens = fit_ensemble(
@@ -130,17 +135,38 @@ def fitted_toy_ensemble(workers=1, n_splits=12, seed=0):
     return data, design, ens
 
 
-def test_model_average_matches_spec_route():
-    # fast path must equal the literal route: apply each model's own
-    # transform to the shared raw design, predict, weight, sum
-    data, design, ens = fitted_toy_ensemble()
+@pytest.mark.parametrize("site_blocks", [False, True], ids=["global", "site_blocks"])
+def test_model_average_matches_spec_route(site_blocks):
+    # the collapsed linear form must equal the literal route: apply each
+    # model's own transform to the shared raw design, predict, weight, sum
+    data, design, ens = fitted_toy_ensemble(site_blocks=site_blocks)
+    assert ens.needs_site_information() == site_blocks
     fast = model_average(ens, design)
     slow = np.zeros(design.n_rows)
     for model, transform, weight in zip(ens.models, ens.transforms, ens.weights):
         X = apply_transform(design, transform)
         slow += weight * predict(model, X)
-    assert np.allclose(fast, slow, atol=1e-10)
+    assert np.max(np.abs(fast - slow)) <= 1e-10
+    members = member_predictions(ens, design)
+    assert np.max(np.abs(fast - ens.weights @ members)) <= 1e-12
     assert abs(ens.weights.sum() - 1.0) <= 1e-12
+
+
+def test_linear_form_is_bitwise_stable_across_json_round_trip():
+    # sorted JSON keys reorder each model's coefficient map, which changes
+    # the bits of this ensemble's intercepts unless terms are visited in a
+    # fixed order
+    data, design, ens = fitted_toy_ensemble(seed=1, site_blocks=True)
+    payload = json.loads(json.dumps(artifacts.ensemble_to_dict(ens), sort_keys=True))
+    loaded = artifacts.ensemble_from_dict(payload)
+    fitted_form, loaded_form = linear_form(ens), linear_form(loaded)
+    assert fitted_form.slopes.tobytes() == loaded_form.slopes.tobytes()
+    assert fitted_form.intercepts.tobytes() == loaded_form.intercepts.tobytes()
+    fitted = model_average(ens, design)
+    assert fitted.tobytes() == model_average(loaded, design).tobytes()
+    payload["models"][0]["coef"]["c9"] = 1.0
+    with pytest.raises(DataError, match="unknown terms"):
+        artifacts.ensemble_from_dict(payload)
 
 
 def test_member_predictions_shape_and_validation():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from sitelasso.ensemble import Ensemble
 from sitelasso.errors import DataError
 from sitelasso.gridpredict import predict_raster, predict_raster_two_stage
+from sitelasso.models import SelectedModel
 from sitelasso.pipeline import run_method1, run_method2, run_method3, run_method4
 from sitelasso.rasters import RasterGrid
 from sitelasso.splits import make_splits
+from sitelasso.standardize import StandardizationTransform
 from sitelasso.synthetic import SyntheticSpec, default_fields, generate_synthetic
-from sitelasso.terms import build_term_matrix, RawDesign
+from sitelasso.terms import build_term_matrix, RawDesign, TermSpec
 
 
 def small_plan(data, n_splits=8, seed=5):
@@ -30,6 +33,21 @@ def synth_setup(seed=2, n_covariates=3, ncols=12, nrows=9):
     return generate_synthetic(spec)
 
 
+def scalar_oracle(ens, rasters, pix):
+    """One pixel of a global-term ensemble, replayed member by member."""
+    cov = {name: np.array([rasters[name].values.ravel()[pix]]) for name in rasters}
+    row = build_term_matrix(cov, np.array([""], dtype=object), ens.terms)
+    member_vals = []
+    for model, transform in zip(ens.models, ens.transforms):
+        pos = {t.term_id: j for j, t in enumerate(transform.terms)}
+        val = model.intercept
+        for cid, coef in model.coef.items():
+            j = pos[cid]
+            val += coef * (row[0, j] - transform.means[j]) / transform.norms[j]
+        member_vals.append(val)
+    return float(ens.weights @ np.array(member_vals))
+
+
 def test_single_model_raster_matches_pointwise_predict():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
@@ -44,21 +62,33 @@ def test_single_model_raster_matches_pointwise_predict():
     rng = np.random.default_rng(0)
     pixels = rng.choice(np.flatnonzero(~mask), size=40, replace=False)
     for pix in pixels:
-        cov = {
-            name: np.array([rasters[name].values.ravel()[pix]])
-            for name in rasters
-        }
-        row = build_term_matrix(cov, np.array([""], dtype=object), ens.terms)
-        member_vals = []
-        for model, transform in zip(ens.models, ens.transforms):
-            pos = {t.term_id: j for j, t in enumerate(transform.terms)}
-            val = model.intercept
-            for cid, coef in model.coef.items():
-                j = pos[cid]
-                val += coef * (row[0, j] - transform.means[j]) / transform.norms[j]
-            member_vals.append(val)
-        oracle = float(ens.weights @ np.array(member_vals))
+        oracle = scalar_oracle(ens, rasters, pix)
         assert flat[pix] == pytest.approx(oracle, abs=1e-10)
+
+
+def test_two_stage_raster_matches_scalar_oracle():
+    data, rasters, site_grid, truth = synth_setup()
+    plan = small_plan(data, n_splits=5)
+    run3 = run_method3(data, plan, workers=1)
+    stage1 = run3.stage1.ensemble
+    pierced = stage1.needed_covariates()[0]
+    rasters[pierced].values[2, 1] = rasters[pierced].nodata
+    codes = {1.0: "B1", 2.0: "B2"}
+    grid = predict_raster_two_stage(stage1, run3.stage2, rasters, site_grid, codes)
+    site_values = site_grid.values.ravel()
+    expected_bad = site_grid.nodata_mask().ravel() | rasters[pierced].nodata_mask().ravel()
+    for code, site in codes.items():
+        own = site_values == code
+        for name in run3.stage2[site].needed_covariates():
+            expected_bad |= own & rasters[name].nodata_mask().ravel()
+    assert site_grid.nodata_mask().any()
+    assert np.array_equal(grid.nodata_mask().ravel(), expected_bad)
+    flat = grid.values.ravel()
+    for pix in np.flatnonzero(~expected_bad):
+        site = codes[site_values[pix]]
+        oracle = scalar_oracle(stage1, rasters, pix)
+        oracle += scalar_oracle(run3.stage2[site], rasters, pix)
+        assert abs(flat[pix] - oracle) <= 1e-10
 
 
 def test_nodata_closure_only_over_needed_covariates():
@@ -168,6 +198,33 @@ def test_two_stage_raster_adds_site_amendments():
     # pixels without site identity are nodata
     gap = site_grid.nodata_mask()
     assert np.all(combined.values[gap] == combined.nodata)
+
+
+def test_two_stage_raster_skips_stage2_of_a_site_without_pixels():
+    # No pixel carries site B3, so its stage 2 is never evaluated and the
+    # covariate it reads needs no raster.
+    data, rasters, site_grid, truth = synth_setup()
+    plan = small_plan(data, n_splits=5)
+    run3 = run_method3(data, plan, workers=1)
+    ghost = TermSpec("poly", "ghost")
+    unseen = Ensemble(
+        models=[SelectedModel(0.0, {ghost.term_id: 1.0}, 1, 1.0, "")],
+        transforms=[StandardizationTransform([ghost], [0.0], [1.0], [False], 3)],
+        weights=np.ones(1),
+        terms=[ghost],
+        split_plan_ref="",
+        validation_errors=[],
+        validation_rows=[],
+    )
+    codes = {1.0: "B1", 2.0: "B2"}
+    base = predict_raster_two_stage(
+        run3.stage1.ensemble, run3.stage2, rasters, site_grid, codes
+    )
+    grid = predict_raster_two_stage(
+        run3.stage1.ensemble, {**run3.stage2, "B3": unseen}, rasters, site_grid,
+        {**codes, 3.0: "B3"},
+    )
+    assert np.array_equal(grid.values, base.values)
 
 
 def test_raster_point_consistency():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sitelasso.errors import DataError
+from sitelasso.pointdata import format_float
 from sitelasso.rasters import (
     DEFAULT_NODATA,
     RasterGrid,
-    raster_to_square_mean,
     read_ascii_grid,
     write_ascii_grid,
 )
@@ -66,73 +66,26 @@ def test_read_rejects_missing_header_and_bad_counts(tmp_path):
         read_ascii_grid(short)
 
 
-def test_square_inside_one_pixel_returns_its_value():
-    grid = grid_of([[1.0, 2.0], [3.0, 4.0]], cellsize=100.0)
-    # pixel (row 1, col 0) covers x in [0,100), y in [0,100)
-    assert raster_to_square_mean(grid, (50.0, 50.0), side=25.0) == 3.0
-    # top-right pixel
-    assert raster_to_square_mean(grid, (150.0, 150.0), side=25.0) == 2.0
-
-
-def test_square_straddles_two_pixels_equally():
-    grid = grid_of([[2.0, 4.0]], cellsize=50.0)
-    value = raster_to_square_mean(grid, (50.0, 25.0), side=25.0)
-    assert value == pytest.approx(3.0, abs=1e-12)
-
-
-def test_area_conservation_interior():
-    rng = np.random.default_rng(0)
-    grid = grid_of(rng.normal(size=(20, 20)), cellsize=10.0)
-    # reimplement the sum of intersection areas for an interior square
-    cx, cy, side = 87.3, 112.9, 25.0
-    x_lo, x_hi = cx - side / 2, cx + side / 2
-    y_lo, y_hi = cy - side / 2, cy + side / 2
-    total = 0.0
-    for i in range(20):
-        for j in range(20):
-            px_lo, px_hi = j * 10.0, (j + 1) * 10.0
-            py_lo, py_hi = (19 - i) * 10.0, (20 - i) * 10.0
-            w = max(0.0, min(px_hi, x_hi) - max(px_lo, x_lo))
-            h = max(0.0, min(py_hi, y_hi) - max(py_lo, y_lo))
-            total += w * h
-    assert total == pytest.approx(side * side, rel=1e-9)
-
-
-def test_square_mean_matches_dense_point_oracle():
-    rng = np.random.default_rng(42)
-    grid = grid_of(50.0 + rng.normal(size=(12, 15)) * 4.0, cellsize=10.0)
-    for _ in range(25):
-        cx = rng.uniform(15.0, 135.0)
-        cy = rng.uniform(15.0, 105.0)
-        side = 25.0
-        got = raster_to_square_mean(grid, (cx, cy), side=side)
-        # dense point subsample of the square, nearest-pixel lookup
-        m = 1000
-        offs = (np.arange(m) + 0.5) / m * side - side / 2
-        xs = cx + offs
-        ys = cy + offs
-        cols = np.clip((xs / 10.0).astype(int), 0, 14)
-        rows = np.clip(11 - (ys / 10.0).astype(int), 0, 11)
-        oracle = grid.values[np.ix_(rows, cols)].mean()
-        assert got == pytest.approx(oracle, rel=1e-3)
-
-
-def test_nodata_pixel_error_names_the_pixel():
-    grid = grid_of([[1.0, DEFAULT_NODATA], [3.0, 4.0]], cellsize=100.0)
-    with pytest.raises(DataError, match=r"row 0, col 1"):
-        raster_to_square_mean(grid, (100.0, 150.0), side=30.0)
-
-
-def test_no_intersection_error():
-    grid = grid_of([[1.0]], cellsize=10.0)
-    with pytest.raises(DataError, match="does not intersect"):
-        raster_to_square_mean(grid, (100.0, 100.0), side=5.0)
-
-
-def test_partial_overlap_uses_only_intersecting_cells():
-    grid = grid_of([[5.0]], cellsize=10.0)
-    # square half outside the raster still averages to the single pixel value
-    assert raster_to_square_mean(grid, (0.0, 5.0), side=10.0) == 5.0
+def test_ascii_rows_match_the_per_cell_formatter(tmp_path):
+    values = np.array(
+        [
+            [1.5, DEFAULT_NODATA, -0.0, 5e-324],
+            [1e300, -1e300, 0.1, 2.0 / 3.0],
+            [np.pi, -2.2250738585072014e-308, 123456789.125, 7.0],
+        ]
+    )
+    grid = grid_of(values, xll=-12.5, yll=3.25, cellsize=2.5)
+    path = tmp_path / "g.asc"
+    write_ascii_grid(path, grid)
+    header = (
+        "ncols 4\nnrows 3\nxllcorner -12.5\nyllcorner 3.25\n"
+        "cellsize 2.5\nNODATA_value -9999\n"
+    )
+    rows = "".join(" ".join(format_float(v) for v in row) + "\n" for row in values)
+    assert path.read_bytes() == (header + rows).encode("utf-8")
+    back = read_ascii_grid(path)
+    assert np.array_equal(back.values, values)
+    assert np.signbit(back.values[0, 2])
 
 
 def test_geometry_validation():
