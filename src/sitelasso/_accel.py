@@ -1,10 +1,10 @@
-"""Optional numba acceleration.
+"""Optional numba acceleration of the coordinate-descent test oracle.
 
-Hot kernels are written once, in numpy-compatible form, and compiled with
-``numba.njit`` unless the ``SITELASSO_DISABLE_NUMBA`` environment variable is
-set to a truthy value (1/true/yes) or numba is unavailable. The plain-python
-originals stay reachable via ``kernel.py_func`` when compiled, which is what
-``benchmarks/bench_kernels.py`` uses to time both paths.
+The sweep kernel of :mod:`.cd` is written once, in numpy-compatible form, and
+compiled with ``numba.njit`` unless the ``SITELASSO_DISABLE_NUMBA``
+environment variable is set to a truthy value (1/true/yes) or numba is
+unavailable (it is a test-only dependency). The plain-python original stays
+reachable via ``kernel.py_func`` when compiled.
 """
 
 import os
@@ -23,7 +23,7 @@ if not _disabled_by_env():
         from numba import njit as _njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional, test-only dependency
         NUMBA_ENABLED = False
 
 

@@ -8,7 +8,11 @@ code, shared only by the objective.
 
 The sweep kernel is a hot loop (hundreds of sweeps per call, one call per
 path knot in the oracle tests) and carries the optional numba compilation
-from :mod:`._accel`.
+from :mod:`._accel`. Between full sweeps the solver cycles over the non-zero
+coefficients only (Friedman, Hastie & Tibshirani, "Regularization Paths for
+Generalized Linear Models via Coordinate Descent", JSS 33(1), 2010, section
+2.6), a whole sweep at a time in matrix form, so a slowly converging active
+set costs a few numpy calls per sweep instead of one per coordinate.
 """
 
 import numpy as np
@@ -49,6 +53,34 @@ def _cd_sweeps(X, col_sq, y, lam, beta, max_sweeps, tol):
 _cd_sweeps_kernel = maybe_njit(_cd_sweeps)
 
 
+def _active_sweeps(gram, xty, half, beta, active, max_sweeps, tol):
+    # Cyclic sweeps over the active coordinates in index order, with every
+    # other coefficient at zero. While no active coefficient reaches zero or
+    # changes sign, one such sweep is the Gauss-Seidel step
+    #   beta_A += T^-1 (xty_A - half * s - G_AA beta_A)
+    # with T the lower triangle of G_AA, diagonal included. A sweep that would
+    # move a coefficient onto or through zero is not taken: the soft
+    # threshold bites there, and the next full scalar sweep handles it.
+    # Returns the number of sweeps taken; beta is updated in place.
+    g = gram[np.ix_(active, active)]
+    t_inv = np.linalg.inv(np.tril(g))
+    s = np.sign(beta[active])
+    rhs = xty[active] - half * s
+    b = beta[active]
+    taken = 0
+    while taken < max_sweeps:
+        step = t_inv @ (rhs - g @ b)
+        new = b + step
+        if (new * s).min() <= 0.0:
+            break
+        b = new
+        taken += 1
+        if np.abs(step).max() < tol:
+            break
+    beta[active] = b
+    return taken
+
+
 def cd_lasso(X, y, lam, beta_init=None, max_sweeps=200_000, tol=1e-12):
     """Solve the lasso at one penalty value by cyclic coordinate descent.
 
@@ -85,12 +117,22 @@ def cd_lasso(X, y, lam, beta_init=None, max_sweeps=200_000, tol=1e-12):
         if beta_init is None
         else np.array(beta_init, dtype=np.float64, copy=True)
     )
-    sweeps = _cd_sweeps_kernel(X, col_sq, y, float(lam), beta, int(max_sweeps), float(tol))
-    if sweeps < 0:
-        raise NumericalError(
-            f"coordinate descent did not converge in {max_sweeps} sweeps"
-        )
-    return beta
+    # converged means one full sweep over every coordinate moves nothing by
+    # more than tol; between full sweeps, cycle over the active set alone
+    gram = X.T @ X
+    xty = X.T @ y
+    half = 0.5 * float(lam)
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        if _cd_sweeps_kernel(X, col_sq, y, float(lam), beta, 1, float(tol)) == 1:
+            return beta
+        active = np.flatnonzero(beta)
+        if active.size:
+            sweeps += _active_sweeps(
+                gram, xty, half, beta, active, max_sweeps - sweeps, float(tol)
+            )
+    raise NumericalError(f"coordinate descent did not converge in {max_sweeps} sweeps")
 
 
 def lasso_objective(X, y, beta, lam):

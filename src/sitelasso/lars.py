@@ -22,6 +22,10 @@ Behaviour pinned by contract:
   min(n_rows - 1, n_cols), or a step cap of 8 * min(n, p) which sets
   max_steps_reached instead of raising (sign-drop cycles are pathological
   but should not abort)
+
+The solver is plain numpy, with no compiled mode: each step rebuilds and
+solves the active Gram system and runs every per-column scan (admission, step
+length, zero crossings, correlation update) as one whole-array operation.
 """
 
 import logging
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .errors import CollinearTermsError, DataError, NumericalError
 from .standardize import StandardizedMatrix, check_standardized
 
@@ -47,22 +50,22 @@ _DEGENERATE = 3
 
 
 def _lar_steps(X, y, corr_tol, max_active, max_steps):
-    # Shared-source hot kernel (numba-compiled unless disabled). Returns
-    # (lambdas, coefficient rows, knot count, status). Correlations are
-    # tracked incrementally (c -= gamma * a) rather than recomputed from the
-    # residual: a recompute carries absolute rounding noise from the response
-    # scale, which late in the path (tiny lambda) swamps the relative tie
-    # tolerance and makes a caught-up column miss admission, after which its
-    # correlation is unbounded and the lambda sequence can stall or rise.
+    # Plain-numpy kernel: every per-column scan is one whole-array operation
+    # with the same floating-point operations as a scalar loop would perform.
+    # Returns (lambdas, coefficient rows, knot count, status). Correlations
+    # are tracked incrementally (c -= gamma * a) rather than recomputed from
+    # the residual: a recompute carries absolute rounding noise from the
+    # response scale, which late in the path (tiny lambda) swamps the relative
+    # tie tolerance and makes a caught-up column miss admission, after which
+    # its correlation is unbounded and the lambda sequence can stall or rise.
     # Incremental tracking keeps ties on the same arithmetic at every scale.
-    n, p = X.shape
+    p = X.shape[1]
     max_knots = max_steps + 2
     lambdas = np.zeros(max_knots)
     coefs = np.zeros((max_knots, p))
     beta = np.zeros(p)
     in_active = np.zeros(p, dtype=np.bool_)
-    active = np.empty(p, dtype=np.int64)
-    n_act = 0
+    active = np.empty(0, dtype=np.int64)  # entry order
     c = y @ X
     biggest = np.max(np.abs(c))
     lambdas[0] = 2.0 * biggest
@@ -81,28 +84,20 @@ def _lar_steps(X, y, corr_tol, max_active, max_steps):
         if not just_dropped:
             # admit every column tied at the top correlation, lowest index first
             tie_floor = biggest - max(biggest * _TIE_RTOL, 1e-300)
-            for j in range(p):
-                if n_act >= max_active:
-                    break
-                if not in_active[j] and abs(c[j]) >= tie_floor:
-                    in_active[j] = True
-                    active[n_act] = j
-                    n_act += 1
+            tied = np.flatnonzero(~in_active & (np.abs(c) >= tie_floor))
+            entering = tied[: max_active - len(active)]
+            in_active[entering] = True
+            active = np.concatenate((active, entering))
         just_dropped = False
-        k = n_act
-        Xa = np.empty((n, k))
-        s = np.empty(k)
-        for t in range(k):
-            Xa[:, t] = X[:, active[t]]
-            s[t] = 1.0 if c[active[t]] >= 0.0 else -1.0
+        k = len(active)
+        # C order keeps the Gram product and Xa @ direction on the same BLAS
+        # kernels for every k; fancy indexing alone yields a Fortran array
+        Xa = np.ascontiguousarray(X[:, active])
+        s = np.where(c[active] >= 0.0, 1.0, -1.0)
         gram = np.ascontiguousarray(Xa.T) @ Xa
         w = np.linalg.solve(gram, s)
         denom = s @ w
-        ok = denom > 0.0
-        for t in range(k):
-            if not np.isfinite(w[t]):
-                ok = False
-        if not ok:
+        if not (denom > 0.0 and np.isfinite(w).all()):
             status = _DEGENERATE
             break
         equi_norm = 1.0 / np.sqrt(denom)  # correlation decay rate along the move
@@ -112,61 +107,43 @@ def _lar_steps(X, y, corr_tol, max_active, max_steps):
         gamma_total = biggest / equi_norm
         gamma_eps = gamma_total * _GAMMA_EPS_RTOL
         gamma = gamma_total
-        if n_act < max_active:
-            for j in range(p):
-                if in_active[j]:
-                    continue
-                d1 = equi_norm - a[j]
-                if d1 > 0.0:
-                    cand = (biggest - c[j]) / d1
-                    if gamma_eps < cand < gamma:
-                        gamma = cand
-                d2 = equi_norm + a[j]
-                if d2 > 0.0:
-                    cand = (biggest + c[j]) / d2
-                    if gamma_eps < cand < gamma:
-                        gamma = cand
+        if k < max_active:
+            # the step at which an inactive column's correlation catches up
+            free = ~in_active
+            for d, num in ((equi_norm - a, biggest - c), (equi_norm + a, biggest + c)):
+                ok = free & (d > 0.0)
+                cand = num[ok] / d[ok]
+                cand = cand[(gamma_eps < cand) & (cand < gamma)]
+                if cand.size:
+                    gamma = cand.min()
         # zero-crossing candidates from the pre-move coefficients; the same
         # values classify the removals after the move (re-deriving them from
         # updated coefficients would reintroduce rounding)
         sentinel = gamma_total * 4.0
-        cross = np.full(k, sentinel)
-        gamma_drop = sentinel
-        for t in range(k):
-            if direction[t] != 0.0:
-                cand = -beta[active[t]] / direction[t]
-                if gamma_eps < cand:
-                    cross[t] = cand
-                    if cand < gamma_drop:
-                        gamma_drop = cand
+        cross = np.divide(
+            -beta[active], direction, out=np.full(k, sentinel), where=direction != 0.0
+        )
+        cross[~(gamma_eps < cross)] = sentinel
+        gamma_drop = cross.min()
         dropping = gamma_drop <= gamma
         if dropping:
             gamma = gamma_drop
         took_total = (not dropping) and gamma == gamma_total
-        for j in range(p):
-            c[j] -= gamma * a[j]
+        c -= gamma * a
         if took_total:
             biggest = 0.0
         else:
             biggest = max(biggest - gamma * equi_norm, 0.0)
         # pin the active columns to the shared level the move puts them at;
         # this keeps the tie comparison exact for a column that just caught up
-        for t in range(k):
-            c[active[t]] = s[t] * biggest
-        for t in range(k):
-            beta[active[t]] += gamma * direction[t]
+        c[active] = s * biggest
+        beta[active] += gamma * direction
         if dropping:
-            drop_ceiling = gamma * (1.0 + _TIE_RTOL)
-            kept = 0
-            for t in range(k):
-                j = active[t]
-                if cross[t] <= drop_ceiling:
-                    beta[j] = 0.0
-                    in_active[j] = False
-                else:
-                    active[kept] = j
-                    kept += 1
-            n_act = kept
+            leaving = cross <= gamma * (1.0 + _TIE_RTOL)
+            gone = active[leaving]
+            beta[gone] = 0.0
+            in_active[gone] = False
+            active = active[~leaving]
             just_dropped = True
         if biggest < corr_tol:
             biggest = 0.0
@@ -175,13 +152,10 @@ def _lar_steps(X, y, corr_tol, max_active, max_steps):
         n_knots += 1
         if biggest <= 0.0:
             break
-        if n_act >= max_active and not just_dropped:
+        if len(active) >= max_active and not just_dropped:
             status = _ACTIVE_CAP
             break
     return lambdas, coefs, n_knots, status
-
-
-_lar_steps_kernel = maybe_njit(_lar_steps)
 
 
 @dataclass(frozen=True)
@@ -275,7 +249,7 @@ def lar_lasso_path(
     if max_steps is None:
         max_steps = 8 * min(n, p)
     try:
-        lambdas, coefs, n_knots, status = _lar_steps_kernel(
+        lambdas, coefs, n_knots, status = _lar_steps(
             np.ascontiguousarray(values),
             y,
             float(corr_tol),

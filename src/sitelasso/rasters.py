@@ -103,17 +103,19 @@ def write_ascii_grid(path, grid):
 def read_ascii_grid(path):
     """Parse a plain-text grid; header keys are case-insensitive."""
     header = {}
-    data_tokens = []
+    data_lines = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
-            parts = line.split()
-            if not parts:
+            first = line.split(None, 1)
+            if not first:
                 continue
-            key = parts[0].lower()
-            if len(parts) == 2 and key in _HEADER_KEYS and key not in header:
-                header[key] = parts[1]
-            else:
-                data_tokens.extend(parts)
+            key = first[0].lower()
+            if key in _HEADER_KEYS and key not in header:
+                parts = line.split()
+                if len(parts) == 2:
+                    header[key] = parts[1]
+                    continue
+            data_lines.append(line)
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise DataError(f"raster {path} is missing header key {key}")
@@ -124,7 +126,8 @@ def read_ascii_grid(path):
         yll = float(header["yllcorner"])
         cellsize = float(header["cellsize"])
         nodata = float(header.get("nodata_value", DEFAULT_NODATA))
-        values = np.array([float(tok) for tok in data_tokens], dtype=np.float64)
+        # numpy parses each token as float() does, so bits round-trip
+        values = np.array(" ".join(data_lines).split(), dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"raster {path} has a malformed value: {exc}")
     if values.size != ncols * nrows:

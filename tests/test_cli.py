@@ -240,6 +240,28 @@ def test_exit_code_3_for_data_errors(workspace, tmp_path, capsys):
     assert "two sites" in capsys.readouterr().err
 
 
+def test_exit_code_3_for_a_malformed_raster_token(workspace, tmp_path, capsys):
+    rasters = tmp_path / "rasters"
+    rasters.mkdir()
+    for src in sorted((workspace["synth"] / "rasters").glob("*.asc")):
+        (rasters / src.name).write_bytes(src.read_bytes())
+    lines = (rasters / "cov1.asc").read_text().splitlines(keepends=True)
+    lines[8] = lines[8].replace(" ", " x7 ", 1)
+    (rasters / "cov1.asc").write_text("".join(lines))
+    cfg = tmp_path / "bad_raster.cfg"
+    cfg.write_text(
+        RUN_CFG.format(
+            points=workspace["synth"] / "points.csv",
+            out=tmp_path / "out",
+            rasters=rasters,
+            site=workspace["synth"] / "site.asc",
+        )
+    )
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "cov1.asc has a malformed value" in err and "x7" in err
+
+
 def test_exit_code_3_for_transfer_without_artifacts(tmp_path, workspace, capsys):
     empty = tmp_path / "emptyrun"
     empty.mkdir()

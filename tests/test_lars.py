@@ -4,11 +4,11 @@ suite; this file keeps a faster version plus the corner cases)."""
 
 import numpy as np
 import pytest
+from _lars_loop import lar_steps_loop
 
-from sitelasso._accel import NUMBA_ENABLED, py_version
 from sitelasso.cd import cd_lasso, kkt_residuals
 from sitelasso.errors import CollinearTermsError, DataError
-from sitelasso.lars import _lar_steps_kernel, lar_lasso_path
+from sitelasso.lars import _lar_steps, lar_lasso_path
 
 
 def standardized_instance(seed, n, p):
@@ -64,20 +64,20 @@ def test_mid_path_degeneracy_truncates_instead_of_aborting(monkeypatch):
     import sitelasso.lars as lars_mod
 
     X, y = standardized_instance(11, 12, 3)
-    real = _lar_steps_kernel(X, y, 1e-12, 3, 50)
+    real = _lar_steps(X, y, 1e-12, 3, 50)
 
     def degenerate_after(n_keep):
         lambdas, coefs, n_knots, _ = real
         return lambda *a: (lambdas, coefs, min(n_keep, n_knots), lars_mod._DEGENERATE)
 
-    monkeypatch.setattr(lars_mod, "_lar_steps_kernel", degenerate_after(2))
+    monkeypatch.setattr(lars_mod, "_lar_steps", degenerate_after(2))
     path = lar_lasso_path(X, y)
     assert path.degenerate_stop
     assert not path.max_steps_reached
     assert len(path) == 2
     assert path.knots[1].lam < path.knots[0].lam
 
-    monkeypatch.setattr(lars_mod, "_lar_steps_kernel", degenerate_after(1))
+    monkeypatch.setattr(lars_mod, "_lar_steps", degenerate_after(1))
     with pytest.raises(CollinearTermsError, match="degenerate"):
         lar_lasso_path(X, y)
 
@@ -185,12 +185,72 @@ def test_intercept_is_carried():
     assert path.intercept == 3.25
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled")
-def test_compiled_and_python_kernels_agree():
-    X, y = standardized_instance(123, 20, 10)
-    args = (np.ascontiguousarray(X), y, 1e-12, 19, 80)
-    lam_jit, coef_jit, nk_jit, st_jit = _lar_steps_kernel(*args)
-    lam_py, coef_py, nk_py, st_py = py_version(_lar_steps_kernel)(*args)
-    assert nk_jit == nk_py and st_jit == st_py
-    assert np.allclose(lam_jit[:nk_jit], lam_py[:nk_py], atol=1e-12)
-    assert np.allclose(coef_jit[:nk_jit], coef_py[:nk_py], atol=1e-12)
+def test_sign_drops_under_a_binding_step_cap_keep_every_knot_optimal():
+    # n close to p: this instance drops columns at 22 knots before the cap of
+    # 80 steps cuts the path, so every drop and re-entry must leave the
+    # active bookkeeping consistent with the coefficients
+    X, y = standardized_instance(188, 40, 60)
+    path = lar_lasso_path(X, y, max_steps=80)
+    assert path.max_steps_reached
+    assert len(path) == 81
+    sets = [set(k.active.tolist()) for k in path.knots]
+    assert sum(bool(prev - cur) for prev, cur in zip(sets, sets[1:])) >= 10
+    lams = [k.lam for k in path.knots]
+    assert all(b < a for a, b in zip(lams, lams[1:]))
+    assert max(k.subset_size for k in path.knots) <= min(40 - 1, 60)
+    kkt_ok_at_every_knot(X, y, path)
+
+
+def test_ties_beyond_the_free_slots_admit_the_lowest_indices():
+    # six columns share the top correlation with y exactly, but five rows
+    # leave room for four active columns: the first four of the six enter
+    rng = np.random.default_rng(3)
+    basis = np.linalg.qr(np.column_stack([np.ones(5), rng.normal(size=(5, 4))]))[0]
+    basis = basis[:, 1:]  # orthonormal, orthogonal to the constant
+    w = rng.normal(size=(3, 6))
+    w /= np.sqrt((w**2).sum(axis=0))
+    t = 0.6
+    tied = basis @ np.vstack([np.full(6, t), np.sqrt(1.0 - t * t) * w])
+    weaker = basis @ np.array([0.3, np.sqrt(1.0 - 0.09), 0.0, 0.0])
+    X = np.column_stack([weaker, tied])
+    y = 2.0 * basis[:, 0]
+    corr = np.abs(X.T @ y)
+    assert np.ptp(corr[1:]) <= 1e-14 * corr.max() and corr[0] < corr[1]
+    path = lar_lasso_path(X, y)
+    assert path.knots[1].active.tolist() == [1, 2, 3, 4]
+
+
+def tied_instance(seed):
+    # small-integer entries give exact correlation ties; the last column
+    # repeats the first, so some paths meet collinear or degenerate geometry
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(4, 30)), int(rng.integers(2, 60))
+    X = rng.integers(-2, 3, size=(n, p)).astype(float)
+    X[:, -1] = X[:, 0]
+    X -= X.mean(axis=0)
+    X /= np.maximum(np.sqrt((X**2).sum(axis=0)), 1.0)
+    y = X[:, : max(1, p // 3)].sum(axis=1) if seed % 2 else rng.integers(-3, 4, size=n)
+    return X, y - y.mean()
+
+
+@pytest.mark.parametrize(
+    "X, y, max_steps",
+    [standardized_instance(seed + 300, 6 + 4 * seed, 3 + 9 * seed) + (None,) for seed in range(6)]
+    # seeds: singular Gram, sign drops, tied entry with drops, tied entry,
+    # degenerate stop after drops, degenerate stop
+    + [tied_instance(seed) + (None,) for seed in (0, 5, 38, 44, 55, 346)]
+    + [standardized_instance(188, 40, 60) + (80,)],
+)
+def test_kernel_reproduces_the_scalar_loop_bit_for_bit(X, y, max_steps):
+    n, p = X.shape
+    args = (X, y, 1e-12, min(n - 1, p), max_steps or 8 * min(n, p))
+    try:
+        expected = lar_steps_loop(*args)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            _lar_steps(*args)
+        return
+    lambdas, coefs, n_knots, status = _lar_steps(*args)
+    assert (n_knots, status) == expected[2:]
+    assert np.array_equal(lambdas, expected[0])
+    assert np.array_equal(coefs, expected[1])

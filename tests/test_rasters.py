@@ -88,6 +88,28 @@ def test_ascii_rows_match_the_per_cell_formatter(tmp_path):
     assert np.signbit(back.values[0, 2])
 
 
+def test_reader_parses_every_written_token_as_float_does(tmp_path):
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=(20, 30)) * 10.0 ** rng.integers(-320, 308, size=(20, 30))
+    values.flat[:8] = [DEFAULT_NODATA, np.nan, np.inf, -np.inf, -0.0, 5e-324, -1.7976931348623157e308, 2.0 / 3.0]
+    path = tmp_path / "g.asc"
+    write_ascii_grid(path, grid_of(values))
+    tokens = " ".join(path.read_text().splitlines()[6:]).split()
+    expected = np.array([float(tok) for tok in tokens])
+    back = read_ascii_grid(path).values.ravel()
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
+
+def test_reader_names_the_file_of_a_malformed_token(tmp_path):
+    path = tmp_path / "broken.asc"
+    path.write_text(
+        "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+        "NODATA_value -9999\n1 2 3\n4 5,5 6\n"
+    )
+    with pytest.raises(DataError, match=r"broken\.asc has a malformed value.*5,5"):
+        read_ascii_grid(path)
+
+
 def test_geometry_validation():
     with pytest.raises(DataError, match="cellsize"):
         grid_of([[1.0]], cellsize=0.0)
