@@ -38,6 +38,7 @@ from .lars import LassoPath, PathKnot, lar_lasso_path
 from .models import FitMetrics, SelectedModel, fit_metrics, predict
 from .pipeline import (
     MethodRun,
+    RunDesigns,
     covariate_support_report,
     evaluate_transfer,
     run_method1,
@@ -74,6 +75,7 @@ __all__ = [
     "PointDataset",
     "RasterGrid",
     "RawDesign",
+    "RunDesigns",
     "SelectedModel",
     "SiteLassoError",
     "SplitPlan",

@@ -27,6 +27,7 @@ from .features import write_removal_log
 from .gridpredict import predict_raster, predict_raster_two_stage
 from .pipeline import (
     COMBINED,
+    RunDesigns,
     covariate_support_report,
     evaluate_transfer,
     run_method1,
@@ -131,13 +132,12 @@ def cmd_run(args):
     shutil.copyfile(config.points, os.path.join(run_dir, "points.csv"))
     artifacts.write_json(os.path.join(run_dir, "splits.json"), plan_to_dict(plan))
 
-    hierarchy = config.hierarchy or None
-    shared = dict(
+    designs = RunDesigns(
+        data,
         threshold=config.correlation_threshold,
-        hierarchy=hierarchy,
+        hierarchy=config.hierarchy or None,
         max_order=config.max_order,
         filter_seed=config.seed,
-        workers=config.workers,
     )
     site_by_label = {"m1-b1": sites[0], "m1-b2": sites[1]}
     requested = [m for m in METHOD_LABELS if m in config.methods]
@@ -150,21 +150,21 @@ def cmd_run(args):
     m2_run = None
     for label in requested:
         if label.startswith("m1-"):
-            run = run_method1(data, site_by_label[label], plan, **shared)
+            run = run_method1(designs, site_by_label[label], plan, config.workers)
             other = sites[1] if run.site == sites[0] else sites[0]
             transfer = evaluate_transfer(run, data.subset(data.site_rows(other)))
             table[label] = dict(run.metrics)
             table[label][other] = transfer.metrics
         elif label == "m2":
-            run = m2_run = run_method2(data, plan, **shared)
+            run = m2_run = run_method2(designs, plan, config.workers)
             table[label] = dict(run.metrics)
         elif label == "m3":
-            run = run_method3(data, plan, stage1=m2_run, **shared)
+            run = run_method3(designs, plan, config.workers, stage1=m2_run)
             notes["m3_stage1_source"] = "m2" if m2_run is not None else "internal"
             table[label] = dict(run.metrics)
             table["m3-oos"] = dict(run.metrics_oos)
         else:
-            run = run_method4(data, plan, **shared)
+            run = run_method4(designs, plan, config.workers)
             table[label] = dict(run.metrics)
         runs[label] = run
         columns.append(label)

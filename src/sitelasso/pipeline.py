@@ -7,9 +7,11 @@ All four methods share one split plan and the same expansion/filter settings:
 - method 3: method 2 plus per-site ensembles fitted to its residuals
 - method 4: combined rows over [global | site-1 | site-2] column blocks
 
-Filtering runs once per method on the rows the method trains on; method 4
-filters at the global-copy level and the site blocks inherit the surviving
-terms, so method 2's columns are always a subset of method 4's.
+A run expands its covariates once and filters once per row set (each site,
+and the combined rows) in a :class:`RunDesigns`, not once per method: method
+1 reads its site's filtered design; methods 2, 3 and 4 share the combined
+one. Method 4's site blocks copy the combined survivors, so method 2's
+columns are always a subset of method 4's.
 """
 
 import csv
@@ -65,112 +67,100 @@ def _plan_ref(plan):
     return f"splits-seed{plan.seed}-n{plan.n_splits}"
 
 
-def _metric_targets(data, row_ids, predictions, per_site=True, combined=True):
+def _metric_targets(site_of, obs, predictions):
+    """FitMetrics per site, plus the combined rows when there are two or more sites."""
+    sites = sorted(set(site_of.tolist()))
     targets = {}
-    sites = sorted(set(np.asarray(data.site_ids[row_ids]).tolist()))
-    obs = data.response[row_ids]
-    site_of = data.site_ids[row_ids]
-    if per_site:
-        for site in sites:
-            mask = site_of == site
-            targets[site] = fit_metrics(obs[mask], predictions[mask])
-    if combined and len(sites) > 1:
+    for site in sites:
+        mask = site_of == site
+        targets[site] = fit_metrics(obs[mask], predictions[mask])
+    if len(sites) > 1:
         targets[COMBINED] = fit_metrics(obs, predictions)
     return targets
 
 
-def run_method1(
-    data,
-    site,
-    plan,
-    threshold=0.95,
-    hierarchy=None,
-    max_order=4,
-    filter_seed=0,
-    workers=1,
-):
-    """Site-specific ensemble fitted to one site's rows only."""
-    if site not in data.sites():
-        raise DataError(f"no site {site!r} in the data")
-    full = expand_terms(data, max_order=max_order)
-    rows = data.site_rows(site)
-    site_design = full.subset_rows(rows)
-    filtered, records = filter_collinear(site_design, threshold, hierarchy, filter_seed)
-    splits = [plan.site_split(site, i) for i in range(plan.n_splits)]
-    ens = fit_ensemble(
-        filtered, data.response[rows], splits, rows, _plan_ref(plan), workers
-    )
-    preds = model_average(ens, filtered)
+class RunDesigns:
+    """The candidate terms of one run: expanded once, filtered once per row set.
+
+    Every method of a run trains on the same expansion of ``data``. The
+    collinearity filter runs the first time a method asks for a row set
+    (one site's rows, or every row) and its result is kept for the rest of
+    the run, so methods that train on the same rows share one filtered
+    design and one removal log.
+    """
+
+    def __init__(self, data, threshold=0.95, hierarchy=None, max_order=4, filter_seed=0):
+        self.data = data
+        self.threshold = threshold
+        self.hierarchy = hierarchy
+        self.filter_seed = filter_seed
+        self.full = expand_terms(data, max_order=max_order)
+        self._filtered = {}
+
+    def filtered(self, site=None):
+        """(RawDesign, removal records) for one site's rows, or every row."""
+        if site not in self._filtered:
+            design = self.full
+            if site is not None:
+                design = design.subset_rows(self.data.site_rows(site))
+            self._filtered[site] = filter_collinear(
+                design, self.threshold, self.hierarchy, self.filter_seed
+            )
+        return self._filtered[site]
+
+
+def _fit_run(method, designs, site, design, plan, workers, records, response=None):
+    """Fit one ensemble to ``design`` and average it over the rows it trained on.
+
+    ``site`` None trains on every row with the plan's combined splits, a site
+    on that site's rows with its site splits. ``response`` replaces the
+    observations as the full-length target; a run fitted to it reports no
+    metrics.
+    """
+    data = designs.data
+    if site is None:
+        rows = np.arange(data.n_rows)
+        splits = [plan.combined_split(i) for i in range(plan.n_splits)]
+    else:
+        rows = data.site_rows(site)
+        splits = [plan.site_split(site, i) for i in range(plan.n_splits)]
+    fitted = (data.response if response is None else response)[rows]
+    ens = fit_ensemble(design, fitted, splits, rows, _plan_ref(plan), workers)
+    preds = model_average(ens, design)
+    metrics = None
+    if response is None:
+        metrics = _metric_targets(data.site_ids[rows], fitted, preds)
     return MethodRun(
-        method="m1",
+        method=method,
         site=site,
         ensemble=ens,
         row_ids=rows,
         predictions=preds,
-        metrics=_metric_targets(data, rows, preds, combined=False),
+        metrics=metrics,
         removal_records=records,
         plan=plan,
     )
 
 
-def _combined_design(data, threshold, hierarchy, max_order, filter_seed):
-    full = expand_terms(data, max_order=max_order)
-    return filter_collinear(full, threshold, hierarchy, filter_seed)
+def run_method1(designs, site, plan, workers=1):
+    """Site-specific ensemble fitted to one site's rows only."""
+    if site not in designs.data.sites():
+        raise DataError(f"no site {site!r} in the data")
+    filtered, records = designs.filtered(site)
+    return _fit_run("m1", designs, site, filtered, plan, workers, records)
 
 
-def run_method2(
-    data,
-    plan,
-    threshold=0.95,
-    hierarchy=None,
-    max_order=4,
-    filter_seed=0,
-    workers=1,
-):
+def run_method2(designs, plan, workers=1):
     """Combined-site ensemble over global columns."""
-    filtered, records = _combined_design(data, threshold, hierarchy, max_order, filter_seed)
-    rows = np.arange(data.n_rows)
-    splits = [plan.combined_split(i) for i in range(plan.n_splits)]
-    ens = fit_ensemble(filtered, data.response, splits, rows, _plan_ref(plan), workers)
-    preds = model_average(ens, filtered)
-    return MethodRun(
-        method="m2",
-        site=None,
-        ensemble=ens,
-        row_ids=rows,
-        predictions=preds,
-        metrics=_metric_targets(data, rows, preds),
-        removal_records=records,
-        plan=plan,
-    )
+    filtered, records = designs.filtered()
+    return _fit_run("m2", designs, None, filtered, plan, workers, records)
 
 
-def run_method4(
-    data,
-    plan,
-    threshold=0.95,
-    hierarchy=None,
-    max_order=4,
-    filter_seed=0,
-    workers=1,
-):
+def run_method4(designs, plan, workers=1):
     """Combined-site ensemble over global plus per-site column blocks."""
-    filtered, records = _combined_design(data, threshold, hierarchy, max_order, filter_seed)
+    filtered, records = designs.filtered()
     wide = assemble_site_blocks(filtered)
-    rows = np.arange(data.n_rows)
-    splits = [plan.combined_split(i) for i in range(plan.n_splits)]
-    ens = fit_ensemble(wide, data.response, splits, rows, _plan_ref(plan), workers)
-    preds = model_average(ens, wide)
-    return MethodRun(
-        method="m4",
-        site=None,
-        ensemble=ens,
-        row_ids=rows,
-        predictions=preds,
-        metrics=_metric_targets(data, rows, preds),
-        removal_records=records,
-        plan=plan,
-    )
+    return _fit_run("m4", designs, None, wide, plan, workers, records)
 
 
 def _oos_predictions(ens, design, row_ids, fallback):
@@ -198,50 +188,34 @@ def _oos_predictions(ens, design, row_ids, fallback):
     return out
 
 
-def run_method3(
-    data,
-    plan,
-    threshold=0.95,
-    hierarchy=None,
-    max_order=4,
-    filter_seed=0,
-    workers=1,
-    stage1=None,
-):
+def run_method3(designs, plan, workers=1, stage1=None):
     """Two-stage method: combined-site ensemble, then per-site residual
     ensembles that amend its predictions.
 
-    Stage 2 reuses stage 1's filtered term set (no re-expansion or
-    re-filtering) restricted to each site's rows, and earns its own
-    inverse-SSE weights from the residual fits. Reported twice: in-sample
-    stage-2 amendments (the headline numbers) and an out-of-sample variant
-    where each point's amendment comes only from splits that held it out.
+    Stage 2 fits stage 1's filtered design (no re-filtering) restricted to
+    each site's rows, and earns its own inverse-SSE weights from the
+    residual fits. Reported twice: in-sample stage-2 amendments (the
+    headline numbers) and an out-of-sample variant where each point's
+    amendment comes only from splits that held it out.
     """
+    combined, _ = designs.filtered()
     if stage1 is None:
-        stage1 = run_method2(
-            data, plan, threshold, hierarchy, max_order, filter_seed, workers
-        )
-    elif stage1.method != "m2":
-        raise DataError("stage1 must be a method-2 run")
+        stage1 = run_method2(designs, plan, workers)
+    elif stage1.method != "m2" or stage1.terms != combined.terms:
+        raise DataError("stage1 must be a method-2 run on these designs")
+    data = designs.data
     residual = data.response - stage1.predictions
     stage2 = {}
     preds = stage1.predictions.copy()
     preds_oos = stage1.predictions.copy()
-    full = expand_terms(data, max_order=max_order)
-    position = {cid: j for j, cid in enumerate(full.column_ids)}
-    keep = [position[t.term_id] for t in stage1.terms]
-    reused = full.subset_terms(keep)
     for site in data.sites():
-        rows = data.site_rows(site)
-        site_design = reused.subset_rows(rows)
-        splits = [plan.site_split(site, i) for i in range(plan.n_splits)]
-        ens = fit_ensemble(
-            site_design, residual[rows], splits, rows, _plan_ref(plan), workers
+        site_design = combined.subset_rows(data.site_rows(site))
+        amend = _fit_run("m3", designs, site, site_design, plan, workers, [], residual)
+        stage2[site] = amend.ensemble
+        preds[amend.row_ids] += amend.predictions
+        preds_oos[amend.row_ids] += _oos_predictions(
+            amend.ensemble, site_design, amend.row_ids, amend.predictions
         )
-        stage2[site] = ens
-        amend = model_average(ens, site_design)
-        preds[rows] += amend
-        preds_oos[rows] += _oos_predictions(ens, site_design, rows, amend)
     rows_all = np.arange(data.n_rows)
     return MethodRun(
         method="m3",
@@ -249,13 +223,13 @@ def run_method3(
         ensemble=None,
         row_ids=rows_all,
         predictions=preds,
-        metrics=_metric_targets(data, rows_all, preds),
+        metrics=_metric_targets(data.site_ids, data.response, preds),
         removal_records=list(stage1.removal_records),
         plan=plan,
         stage1=stage1,
         stage2=stage2,
         predictions_oos=preds_oos,
-        metrics_oos=_metric_targets(data, rows_all, preds_oos),
+        metrics_oos=_metric_targets(data.site_ids, data.response, preds_oos),
     )
 
 

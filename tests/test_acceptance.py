@@ -35,6 +35,7 @@ from sitelasso.gridpredict import predict_raster
 from sitelasso.lars import lar_lasso_path
 from sitelasso.pipeline import (
     COMBINED,
+    RunDesigns,
     evaluate_transfer,
     run_method1,
     run_method2,
@@ -353,7 +354,7 @@ def test_criterion_07_two_stage_decomposition_identity():
                          coef_site={"B2": {"cov2": 1.0}}, noise_sd=0.25)
     data, _, _, _ = generate_synthetic(spec)
     plan = two_thirds_plan(data, n_splits=100, seed=7)
-    run3 = run_method3(data, plan, workers=1)
+    run3 = run_method3(RunDesigns(data), plan, workers=1)
     stage1 = run3.stage1
 
     full = expand_terms(data, max_order=4)
@@ -383,7 +384,7 @@ def test_criterion_08_selection_recovers_planted_terms():
     assert expand_terms(data).n_cols == 204  # ~200 candidates
 
     plan = two_thirds_plan(data, n_splits=100, seed=8)
-    run = run_method2(data, plan, workers=1)
+    run = run_method2(RunDesigns(data), plan, workers=1)
     freq, _sizes = tally_selection(run.ensemble)
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     top10 = {term for term, _ in ranked[:10]}
@@ -416,8 +417,9 @@ def test_criterion_09_transfer_asymmetry_under_nested_supports():
     )
 
     plan = two_thirds_plan(data, n_splits=60, seed=9)
-    run_narrow = run_method1(data, narrow, plan, workers=1)
-    run_wide = run_method1(data, wide, plan, workers=1)
+    designs = RunDesigns(data)
+    run_narrow = run_method1(designs, narrow, plan, workers=1)
+    run_wide = run_method1(designs, wide, plan, workers=1)
     narrow_to_wide = evaluate_transfer(run_narrow, data.subset(data.site_rows(wide)))
     wide_to_narrow = evaluate_transfer(run_wide, data.subset(data.site_rows(narrow)))
     r2_nw = narrow_to_wide.metrics.r2
@@ -439,7 +441,7 @@ def test_criterion_10_raster_matches_scalar_oracle_with_nodata_closure():
     data, rasters, _site, _truth = generate_synthetic(spec)
     assert rasters["cov0"].values.size == 2200
     plan = two_thirds_plan(data, n_splits=40, seed=10)
-    run = run_method2(data, plan, workers=1)
+    run = run_method2(RunDesigns(data), plan, workers=1)
     ens = run.ensemble
 
     needed = ens.needed_covariates()

@@ -1,0 +1,22 @@
+"""The pipeline benchmark's tracer must find the names it hooks."""
+
+import importlib
+import importlib.util
+import os
+
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "pipebench", "tracing.py")
+
+# gridpredict evaluates linear forms and no longer calls model_average
+KNOWN_MISSING = {"sitelasso.gridpredict.model_average"}
+
+
+def test_every_benchmark_hook_resolves():
+    spec = importlib.util.spec_from_file_location("pipebench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = {
+        f"{module}.{attr}"
+        for module, attr, _metric, _counter in tracing.HOOKS
+        if not hasattr(importlib.import_module(module), attr)
+    }
+    assert missing == KNOWN_MISSING

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sitelasso import artifacts
+from sitelasso import artifacts, pipeline
 from sitelasso.cli import _EXIT_BY_ERROR, main
 from sitelasso.errors import ConfigError, DataError, NumericalError
 
@@ -156,6 +156,45 @@ def test_rerun_is_byte_identical(workspace):
     diff = [
         n for n in names if not filecmp.cmp(first / n, other / n, shallow=False)
     ]
+    assert diff == []
+
+
+def test_run_expands_once_and_filters_once_per_row_set(workspace, monkeypatch):
+    calls = {"expand_terms": 0, "filter_collinear": 0}
+
+    def counting(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    rerun_into(workspace, workspace["base"] / "run_counted")
+    # one expansion; one filter for each site (m1) and one for all rows (m2-m4)
+    assert calls == {"expand_terms": 1, "filter_collinear": 3}
+
+
+def test_method3_alone_fits_its_own_stage1(workspace):
+    alone = workspace["base"] / "run_m3"
+    rerun_into(workspace, alone, extra="methods = m3\n")
+    manifest = artifacts.read_json(alone / "manifest.json")
+    assert manifest["m3_stage1_source"] == "internal"
+    assert artifacts.verify_manifest(str(alone)) == []
+    names = [n for n in comparable_files(alone) if "m3" in n]
+    for name in (
+        "ensemble_m3_stage2_B1.json",
+        "ensemble_m3_stage2_B2.json",
+        "residuals_m3.csv",
+        "residuals_m3_oos.csv",
+        "prediction_m3.asc",
+    ):
+        assert name in names
+    full = workspace["run"]
+    diff = [n for n in names if not filecmp.cmp(full / n, alone / n, shallow=False)]
     assert diff == []
 
 

@@ -5,7 +5,7 @@ from sitelasso.ensemble import Ensemble
 from sitelasso.errors import DataError
 from sitelasso.gridpredict import predict_raster, predict_raster_two_stage
 from sitelasso.models import SelectedModel
-from sitelasso.pipeline import run_method1, run_method2, run_method3, run_method4
+from sitelasso.pipeline import RunDesigns, run_method1, run_method2, run_method3, run_method4
 from sitelasso.rasters import RasterGrid
 from sitelasso.splits import make_splits
 from sitelasso.standardize import StandardizationTransform
@@ -51,7 +51,7 @@ def scalar_oracle(ens, rasters, pix):
 def test_single_model_raster_matches_pointwise_predict():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
-    run = run_method2(data, plan, workers=1)
+    run = run_method2(RunDesigns(data), plan, workers=1)
     grid = predict_raster(run.ensemble, rasters)
     # scalar-path oracle: recompute each pixel independently
     ens = run.ensemble
@@ -69,7 +69,7 @@ def test_single_model_raster_matches_pointwise_predict():
 def test_two_stage_raster_matches_scalar_oracle():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
-    run3 = run_method3(data, plan, workers=1)
+    run3 = run_method3(RunDesigns(data), plan, workers=1)
     stage1 = run3.stage1.ensemble
     pierced = stage1.needed_covariates()[0]
     rasters[pierced].values[2, 1] = rasters[pierced].nodata
@@ -94,7 +94,7 @@ def test_two_stage_raster_matches_scalar_oracle():
 def test_nodata_closure_only_over_needed_covariates():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=4)
-    run = run_method2(data, plan, workers=1)
+    run = run_method2(RunDesigns(data), plan, workers=1)
     needed = run.ensemble.needed_covariates()
     unused = [n for n in rasters if n not in needed]
     # poke nodata into a needed raster and (if any) an unused raster
@@ -116,7 +116,7 @@ def test_nodata_closure_only_over_needed_covariates():
 def test_intercept_only_ensemble_gives_weighted_constant():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=4)
-    run = run_method2(data, plan, workers=1)
+    run = run_method2(RunDesigns(data), plan, workers=1)
     ens = run.ensemble
     for model in ens.models:
         model.coef = {}
@@ -130,7 +130,7 @@ def test_intercept_only_ensemble_gives_weighted_constant():
 def test_grid_mismatch_and_missing_covariate_errors():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=4)
-    run = run_method2(data, plan, workers=1)
+    run = run_method2(RunDesigns(data), plan, workers=1)
     shifted = RasterGrid(
         ncols=rasters["cov0"].ncols,
         nrows=rasters["cov0"].nrows,
@@ -153,7 +153,7 @@ def test_grid_mismatch_and_missing_covariate_errors():
 def test_site_scoped_ensemble_needs_and_uses_site_information():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
-    run = run_method4(data, plan, workers=1)
+    run = run_method4(RunDesigns(data), plan, workers=1)
     if not run.ensemble.needs_site_information():
         pytest.skip("no scoped term survived selection in this toy")
     with pytest.raises(DataError, match="site"):
@@ -182,7 +182,7 @@ def test_site_scoped_ensemble_needs_and_uses_site_information():
 def test_two_stage_raster_adds_site_amendments():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
-    run3 = run_method3(data, plan, workers=1)
+    run3 = run_method3(RunDesigns(data), plan, workers=1)
     codes = {1.0: "B1", 2.0: "B2"}
     combined = predict_raster_two_stage(
         run3.stage1.ensemble, run3.stage2, rasters, site_grid, codes
@@ -205,7 +205,7 @@ def test_two_stage_raster_skips_stage2_of_a_site_without_pixels():
     # covariate it reads needs no raster.
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
-    run3 = run_method3(data, plan, workers=1)
+    run3 = run_method3(RunDesigns(data), plan, workers=1)
     ghost = TermSpec("poly", "ghost")
     unseen = Ensemble(
         models=[SelectedModel(0.0, {ghost.term_id: 1.0}, 1, 1.0, "")],
@@ -230,7 +230,7 @@ def test_two_stage_raster_skips_stage2_of_a_site_without_pixels():
 def test_raster_point_consistency():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
-    run = run_method2(data, plan, workers=1)
+    run = run_method2(RunDesigns(data), plan, workers=1)
     ens = run.ensemble
     grid = predict_raster(ens, rasters)
     # build a fake point whose covariates equal one pixel's values

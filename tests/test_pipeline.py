@@ -6,6 +6,7 @@ from sitelasso.ensemble import model_average
 from sitelasso.errors import DataError
 from sitelasso.pipeline import (
     COMBINED,
+    RunDesigns,
     covariate_support_report,
     evaluate_transfer,
     run_method1,
@@ -24,32 +25,32 @@ from sitelasso.terms import parse_term_id
 def setup():
     data = two_site_data(seed=5)
     plan = make_splits(data, {"A": 15, "B": 12}, n_splits=25, seed=7)
-    return data, plan
+    return data, plan, RunDesigns(data)
 
 
 def test_method1_fits_its_site_only(setup):
-    data, plan = setup
-    run = run_method1(data, "A", plan)
+    data, plan, designs = setup
+    run = run_method1(designs, "A", plan)
     assert run.method == "m1" and run.site == "A"
     assert np.array_equal(run.row_ids, data.site_rows("A"))
     assert set(run.metrics) == {"A"}
     assert run.metrics["A"].r2 > 0.6  # strong signal, should fit easily
     with pytest.raises(DataError):
-        run_method1(data, "nope", plan)
+        run_method1(designs, "nope", plan)
 
 
 def test_method2_reports_all_targets(setup):
-    data, plan = setup
-    run = run_method2(data, plan)
+    data, plan, designs = setup
+    run = run_method2(designs, plan)
     assert set(run.metrics) == {"A", "B", COMBINED}
     assert run.metrics[COMBINED].r2 > 0.6
     assert all(t.scope is None for t in run.terms)
 
 
 def test_method4_contains_method2_columns(setup):
-    data, plan = setup
-    m2 = run_method2(data, plan)
-    m4 = run_method4(data, plan)
+    data, plan, designs = setup
+    m2 = run_method2(designs, plan)
+    m4 = run_method4(designs, plan)
     w = len(m2.terms)
     assert len(m4.terms) == 3 * w
     assert [t.term_id for t in m4.terms[:w]] == [t.term_id for t in m2.terms]
@@ -59,10 +60,12 @@ def test_method4_contains_method2_columns(setup):
 
 
 def test_method3_decomposes_into_stage_sums(setup):
-    data, plan = setup
-    m2 = run_method2(data, plan)
-    m3 = run_method3(data, plan, stage1=m2)
+    data, plan, designs = setup
+    m2 = run_method2(designs, plan)
+    m3 = run_method3(designs, plan, stage1=m2)
     assert m3.stage1 is m2  # supplied stage 1 is used, not refitted
+    with pytest.raises(DataError, match="stage1"):
+        run_method3(RunDesigns(data, threshold=0.5), plan, stage1=m2)
     # independent recomputation of the amendment per site
     for site, ens in m3.stage2.items():
         rows = data.site_rows(site)
@@ -83,8 +86,8 @@ def test_method3_decomposes_into_stage_sums(setup):
 
 
 def test_transfer_uses_source_transforms_unchanged(setup):
-    data, plan = setup
-    source = run_method1(data, "A", plan)
+    data, plan, designs = setup
+    source = run_method1(designs, "A", plan)
     checksums_before = [t.transform_id for t in source.ensemble.transforms]
     weights_before = source.ensemble.weights.copy()
     target = data.subset(data.site_rows("B"))
@@ -94,14 +97,14 @@ def test_transfer_uses_source_transforms_unchanged(setup):
     assert result.source_site == "A" and result.target_site == "B"
     assert result.predictions.shape == (target.n_rows,)
     assert np.isfinite(result.metrics.r2)
-    m2 = run_method2(data, plan)
+    m2 = run_method2(designs, plan)
     with pytest.raises(DataError):
         evaluate_transfer(m2, target)
 
 
 def test_transfer_missing_covariate_errors(setup):
-    data, plan = setup
-    source = run_method1(data, "A", plan)
+    data, plan, designs = setup
+    source = run_method1(designs, "A", plan)
     target = data.subset(data.site_rows("B"))
     stripped = type(target)(
         target.site_ids,
