@@ -1,9 +1,11 @@
 """Scalar-loop reference for the path solver's kernel.
 
-``lar_steps_loop`` performs the floating-point operations of
-``sitelasso.lars._lar_steps`` one column at a time, in plain Python loops.
-The whole-array kernel must reproduce it bit for bit, so a change that
-reorders or fuses the arithmetic of a scan shows up as a test failure.
+``lar_steps_loop`` traces one path one column at a time, in plain Python
+loops, rebuilding each step's active Gram matrix from the active columns.
+The covariance-form kernel (``sitelasso.lars.lockstep_paths``) reads that
+matrix from X'X instead, so the two agree to rounding: the tests require
+1e-9 on every knot before the path's ill-conditioned tail. ``corr_tol`` is
+absolute here; pass the kernel's relative tolerance times max |X'y|.
 """
 
 import numpy as np

@@ -6,8 +6,14 @@ import os
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "pipebench", "tracing.py")
 
-# gridpredict evaluates linear forms and no longer calls model_average
-KNOWN_MISSING = {"sitelasso.gridpredict.model_average"}
+# gridpredict evaluates linear forms and no longer calls model_average.
+# ensemble fits its splits through lars.lockstep_paths and scores each knot
+# during that pass, so it imports no lar_lasso_path; select_knot still
+# resolves there (it is public API) but the pipeline no longer calls it.
+KNOWN_MISSING = {
+    "sitelasso.gridpredict.model_average",
+    "sitelasso.ensemble.lar_lasso_path",
+}
 
 
 def test_every_benchmark_hook_resolves():

@@ -1,9 +1,13 @@
 import csv
 import filecmp
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import sitelasso
 from sitelasso import artifacts, pipeline
 from sitelasso.cli import _EXIT_BY_ERROR, main
 from sitelasso.errors import ConfigError, DataError, NumericalError
@@ -323,3 +327,51 @@ def test_synth_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SITELASSO_OUTPUT_DIR", str(dest))
     assert main(["synth", str(spec)]) == 0
     assert (dest / "points.csv").exists()
+
+
+def package_env():
+    """Environment for a child interpreter that imports this sitelasso."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sitelasso.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported only when a fit asks for more than one worker
+    code = "import sys, sitelasso.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_quickstart_paths_end_without_a_degenerate_stop(tmp_path):
+    # With an absolute stopping tolerance, four of the quickstart's m4 paths
+    # stepped on past the least-squares fit into rank-deficient geometry and
+    # each ended with a "path ended early ... degenerate" warning on stderr.
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+    def edited(name, **values):
+        with open(os.path.join(configs, name), encoding="utf-8") as handle:
+            text = handle.read()
+        for key, value in values.items():
+            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert n == 1, key
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    data = tmp_path / "quickstart_data"
+    synth = edited("synth_quickstart.cfg", output_dir=data)
+    run = edited(
+        "run_quickstart.cfg", points=data / "points.csv", output_dir=tmp_path / "run",
+        methods="m4", rasters_dir="", site_raster="", site_codes="",
+    )
+    for command, cfg in (("synth", synth), ("run", run)):
+        out = subprocess.run(
+            [sys.executable, "-m", "sitelasso.cli", command, cfg],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+    assert "ended early" not in out.stderr and "degenerate" not in out.stderr

@@ -199,6 +199,26 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(seq.weights, par.weights)
 
 
+@pytest.mark.parametrize("site_blocks", [False, True], ids=["global", "site_blocks"])
+def test_knot_chosen_during_the_pass_equals_select_knot(site_blocks):
+    # fit_ensemble scores each knot as the lockstep pass produces it; the
+    # same path built alone by lar_lasso_path and scored afterwards by
+    # select_knot must pick the same knot, with the same bits
+    data, design, ens = fitted_toy_ensemble(site_blocks=site_blocks)
+    plan = make_splits(data, {"A": 9, "B": 8}, n_splits=12, seed=0)
+    for i, (model, resid) in enumerate(zip(ens.models, ens.validation_errors)):
+        train, valid = plan.combined_split(i)
+        X_train, transform = fit_transform(design.subset_rows(train))
+        assert not transform.dropped.any()  # the pass pads dropped columns
+        y_train = data.response[train]
+        ybar = float(y_train.mean())
+        path = lar_lasso_path(X_train, y_train - ybar, intercept=ybar, validate=False)
+        X_valid = apply_transform(design.subset_rows(valid), transform)
+        expected, expected_resid = select_knot(path, X_valid, data.response[valid])
+        assert model == expected
+        assert np.array_equal(resid, expected_resid)
+
+
 def test_each_model_owns_its_transform():
     _, design, ens = fitted_toy_ensemble()
     refs = {t.transform_id for t in ens.transforms}

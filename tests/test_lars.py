@@ -8,7 +8,7 @@ from _lars_loop import lar_steps_loop
 
 from sitelasso.cd import cd_lasso, kkt_residuals
 from sitelasso.errors import CollinearTermsError, DataError
-from sitelasso.lars import _lar_steps, lar_lasso_path
+from sitelasso.lars import gram_system, lar_lasso_path, lockstep_paths, path_flags
 
 
 def standardized_instance(seed, n, p):
@@ -64,20 +64,34 @@ def test_mid_path_degeneracy_truncates_instead_of_aborting(monkeypatch):
     import sitelasso.lars as lars_mod
 
     X, y = standardized_instance(11, 12, 3)
-    real = _lar_steps(X, y, 1e-12, 3, 50)
+    real = lars_mod.lockstep_paths
 
     def degenerate_after(n_keep):
-        lambdas, coefs, n_knots, _ = real
-        return lambda *a: (lambdas, coefs, min(n_keep, n_knots), lars_mod._DEGENERATE)
+        def stub(grams, xty, max_active, max_steps, on_knots, corr_tol):
+            seen = []
 
-    monkeypatch.setattr(lars_mod, "_lar_steps", degenerate_after(2))
+            def first_knots(paths, lambdas, coefs):
+                seen.append(lambdas[0])
+                if len(seen) <= n_keep:
+                    on_knots(paths, lambdas, coefs)
+
+            real(grams, xty, max_active, max_steps, first_knots, corr_tol)
+            return (
+                np.array([lars_mod._DEGENERATE]),
+                np.array([min(n_keep, len(seen))]),
+                np.array([seen[min(n_keep, len(seen)) - 1]]),
+            )
+
+        return stub
+
+    monkeypatch.setattr(lars_mod, "lockstep_paths", degenerate_after(2))
     path = lar_lasso_path(X, y)
     assert path.degenerate_stop
     assert not path.max_steps_reached
     assert len(path) == 2
     assert path.knots[1].lam < path.knots[0].lam
 
-    monkeypatch.setattr(lars_mod, "_lar_steps", degenerate_after(1))
+    monkeypatch.setattr(lars_mod, "lockstep_paths", degenerate_after(1))
     with pytest.raises(CollinearTermsError, match="degenerate"):
         lar_lasso_path(X, y)
 
@@ -233,6 +247,26 @@ def tied_instance(seed):
     return X, y - y.mean()
 
 
+def loop_tail_start(X, y, lambdas, knots):
+    """First knot of the loop's ill-conditioned tail (its length if none).
+
+    The tail starts at the first knot whose active columns, together with
+    the columns tied with them at the top correlation, have a Gram matrix
+    with condition number above 1e10 (a column repeating an active one is
+    always tied with it). From there on rounding, not the data, picks the
+    path, so two factorizations may part ways.
+    """
+    for k, row in enumerate(knots):
+        corr = np.abs(X.T @ (y - X @ row))
+        tied = row != 0.0
+        if lambdas[k] > 0.0:  # at lambda 0 every column is trivially "tied"
+            tied |= corr >= 0.5 * lambdas[k] * (1.0 - 1e-9)
+        tied = np.flatnonzero(tied)
+        if k and np.linalg.cond(X[:, tied].T @ X[:, tied]) > 1e10:
+            return k
+    return len(knots)
+
+
 @pytest.mark.parametrize(
     "X, y, max_steps",
     [standardized_instance(seed + 300, 6 + 4 * seed, 3 + 9 * seed) + (None,) for seed in range(6)]
@@ -241,16 +275,85 @@ def tied_instance(seed):
     + [tied_instance(seed) + (None,) for seed in (0, 5, 38, 44, 55, 346)]
     + [standardized_instance(188, 40, 60) + (80,)],
 )
-def test_kernel_reproduces_the_scalar_loop_bit_for_bit(X, y, max_steps):
+def test_kernel_matches_the_scalar_loop_before_the_ill_conditioned_tail(X, y, max_steps):
+    # the loop builds each step's Gram from the active columns; the kernel
+    # reads it from X'X, so the two agree to rounding, not to the bit
     n, p = X.shape
-    args = (X, y, 1e-12, min(n - 1, p), max_steps or 8 * min(n, p))
+    max_steps = max_steps or 8 * min(n, p)
+    corr_tol = 1e-12 * np.abs(y @ X).max()  # the kernel's relative tolerance
     try:
-        expected = lar_steps_loop(*args)
+        lambdas, coefs, n_knots, status = lar_steps_loop(X, y, corr_tol, min(n - 1, p), max_steps)
     except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError):
-            _lar_steps(*args)
+        with pytest.raises(CollinearTermsError):
+            lar_lasso_path(X, y, max_steps=max_steps)
         return
-    lambdas, coefs, n_knots, status = _lar_steps(*args)
-    assert (n_knots, status) == expected[2:]
-    assert np.array_equal(lambdas, expected[0])
-    assert np.array_equal(coefs, expected[1])
+    tail = loop_tail_start(X, y, lambdas, coefs[:n_knots])
+    assert tail >= min(n_knots, 5)  # each case keeps its first knots out of the tail
+    G, xty = gram_system(X, y)
+    knots = []
+    lockstep_paths(G[None], xty[None], [min(n - 1, p)], [max_steps],
+                   lambda paths, lam, beta: knots.append((lam[0], beta[0].copy())))
+    assert len(knots) >= tail
+    for k, (lam, beta) in enumerate(knots[:tail]):
+        assert abs(lam - lambdas[k]) <= 1e-9
+        assert np.abs(beta - coefs[k]).max() <= 1e-9
+    if tail == n_knots:
+        path = lar_lasso_path(X, y, max_steps=max_steps)
+        assert len(path) == n_knots
+        assert (path.max_steps_reached, path.degenerate_stop) == (status == 1, status == 3)
+
+
+def splits_of_one_dataset(n_paths, seed):
+    """Standardized training subsets of one tied, partly collinear dataset."""
+    rng = np.random.default_rng(seed)
+    n, p = 40, 30
+    raw = rng.integers(-2, 3, size=(n, p)).astype(float)
+    raw[:, 7] = raw[:, 3]  # a repeated column: paths that admit both stop
+    response = raw[:, :6].sum(axis=1) + rng.normal(size=n)
+    for _ in range(n_paths):
+        rows = np.sort(rng.choice(n, size=int(rng.integers(12, 36)), replace=False))
+        X = raw[rows] - raw[rows].mean(axis=0)
+        X /= np.maximum(np.sqrt((X**2).sum(axis=0)), 1.0)
+        y = response[rows] - response[rows].mean()
+        yield X, y
+
+
+def test_a_path_alone_equals_the_same_path_in_a_batch():
+    paths = list(splits_of_one_dataset(40, seed=9))
+    grams, xty = zip(*(gram_system(X, y) for X, y in paths))
+    max_active = [min(X.shape[0] - 1, X.shape[1]) for X, _ in paths]
+    # every fifth path gets a step cap short enough to bind
+    max_steps = [6 if i % 5 == 0 else 8 * min(X.shape) for i, (X, _) in enumerate(paths)]
+
+    def trace(indices):
+        knots = {i: [] for i in indices}
+
+        def keep(batch_paths, lambdas, coefs):
+            for j, lam, row in zip(batch_paths, lambdas, coefs):
+                knots[indices[j]].append((lam, row.copy()))
+
+        ends = lockstep_paths(
+            np.stack([grams[i] for i in indices]), np.stack([xty[i] for i in indices]),
+            [max_active[i] for i in indices], [max_steps[i] for i in indices], keep,
+        )
+        return knots, {i: end for i, end in zip(indices, zip(*ends))}
+
+    batch_knots, batch_ends = trace(list(range(40)))
+    statuses = {int(end[0]) for end in batch_ends.values()}
+    assert {0, 1} <= statuses and statuses & {3, 4}  # ended, capped, degenerate or singular
+    for i in range(40):
+        alone_knots, alone_ends = trace([i])
+        assert alone_ends[i] == batch_ends[i]
+        assert len(alone_knots[i]) == len(batch_knots[i])
+        for (lam_a, row_a), (lam_b, row_b) in zip(alone_knots[i], batch_knots[i]):
+            assert lam_a == lam_b and np.array_equal(row_a, row_b)
+
+
+def test_path_flags_raise_only_for_paths_that_fitted_nothing(caplog):
+    assert path_flags(1, 7, 0.5) == (True, False)
+    assert path_flags(3, 7, 0.5) == (False, True)
+    assert "degenerate after 7 knots" in caplog.text
+    with pytest.raises(CollinearTermsError, match="degenerate"):
+        path_flags(3, 1, 2.0)
+    with pytest.raises(CollinearTermsError, match="singular"):
+        path_flags(4, 5, 0.5)
