@@ -319,7 +319,7 @@ def splits_of_one_dataset(n_paths, seed):
 
 
 def test_a_path_alone_equals_the_same_path_in_a_batch():
-    paths = list(splits_of_one_dataset(40, seed=9))
+    paths = list(splits_of_one_dataset(40, seed=1))
     grams, xty = zip(*(gram_system(X, y) for X, y in paths))
     max_active = [min(X.shape[0] - 1, X.shape[1]) for X, _ in paths]
     # every fifth path gets a step cap short enough to bind
@@ -340,7 +340,7 @@ def test_a_path_alone_equals_the_same_path_in_a_batch():
 
     batch_knots, batch_ends = trace(list(range(40)))
     statuses = {int(end[0]) for end in batch_ends.values()}
-    assert {0, 1} <= statuses and statuses & {3, 4}  # ended, capped, degenerate or singular
+    assert statuses == {0, 1, 3, 4}  # ended, step-capped, degenerate, singular
     for i in range(40):
         alone_knots, alone_ends = trace([i])
         assert alone_ends[i] == batch_ends[i]
