@@ -165,7 +165,7 @@ class _Lockstep:
         self.k += counts
         if (self.k > self.max_active).any():
             raise NumericalError("active set exceeded min(n_rows - 1, n_cols)")
-        border =self.G[rows[:, None], cols[:, None], self.order[rows]]
+        border = self.G[rows[:, None], cols[:, None], self.order[rows]]
         self.gram[rows, pos] = border
         self.gram[rows, :, pos] = border
 
@@ -463,20 +463,16 @@ def lar_lasso_path(
     if max_steps is None:
         max_steps = 8 * min(n, p)
     gram, xty = gram_system(values, y)
-    lambdas, rows = [], []
+    knots = []
 
     def keep(paths, lam, coefs):
-        lambdas.append(float(lam[0]))
-        rows.append(coefs[0].copy())
+        nz = np.flatnonzero(coefs[0])
+        knots.append(PathKnot(float(lam[0]), nz, coefs[0, nz]))
 
     status, n_knots, last_lambda = lockstep_paths(
         gram[None], xty[None], [min(n - 1, p)], [max_steps], keep, float(corr_tol)
     )
     max_steps_reached, degenerate_stop = path_flags(status[0], n_knots[0], last_lambda[0])
-    knots = []
-    for lam, row in zip(lambdas, rows):
-        nz = np.flatnonzero(row)
-        knots.append(PathKnot(lam, nz, row[nz]))
     return LassoPath(
         knots=knots,
         intercept=float(intercept),
