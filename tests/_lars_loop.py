@@ -1,4 +1,4 @@
-"""Scalar-loop reference for the path solver's kernel.
+"""Scalar-loop references for the path solver's kernel.
 
 ``lar_steps_loop`` traces one path one column at a time, in plain Python
 loops, rebuilding each step's active Gram matrix from the active columns.
@@ -6,6 +6,13 @@ The covariance-form kernel (``sitelasso.lars.lockstep_paths``) reads that
 matrix from X'X instead, so the two agree to rounding: the tests require
 1e-9 on every knot before the path's ill-conditioned tail. ``corr_tol`` is
 absolute here; pass the kernel's relative tolerance times max |X'y|.
+
+``gram_steps_loop`` performs the floating-point operations of one path of
+``sitelasso.lars.lockstep_paths`` one column at a time: the same X'X entries
+in the same entry order, the same solve, product and sum calls, and the
+scans and updates in plain Python. The kernel must reproduce it bit for bit,
+so a change that reorders or fuses the arithmetic of a scan shows up as a
+test failure.
 """
 
 import numpy as np
@@ -15,6 +22,7 @@ from sitelasso.lars import (
     _DEGENERATE,
     _GAMMA_EPS_RTOL,
     _OK,
+    _SINGULAR,
     _STEP_CAP,
     _TIE_RTOL,
 )
@@ -145,3 +153,107 @@ def lar_steps_loop(X, y, corr_tol, max_active, max_steps):
             status = _ACTIVE_CAP
             break
     return lambdas, coefs, n_knots, status
+
+
+def gram_steps_loop(G, xty, corr_tol, max_active, max_steps):
+    """One path from X'X and X'y; ``corr_tol`` is relative to max |X'y|.
+
+    Returns ``(lambdas, coefs, n_knots, status)`` like ``lar_steps_loop``;
+    an exactly singular active Gram ends the path with ``_SINGULAR``.
+    """
+    p = xty.shape[0]
+    max_knots = max_steps + 2
+    lambdas = np.zeros(max_knots)
+    coefs = np.zeros((max_knots, p))
+    beta = np.zeros(p)
+    signs = np.zeros(p)  # 0 where inactive
+    active = []  # entry order; a dropped column's place goes to the last one
+    c = np.array(xty, dtype=np.float64)
+    biggest = max(abs(float(v)) for v in c)
+    tol = corr_tol * biggest
+    lambdas[0] = 2.0 * biggest
+    n_knots = 1
+    if biggest <= 0.0:
+        return lambdas, coefs, n_knots, _OK
+    just_dropped = False
+    steps = 0
+    while True:
+        if steps >= max_steps:
+            return lambdas, coefs, n_knots, _STEP_CAP
+        steps += 1
+        if not just_dropped:
+            tie_floor = biggest - max(biggest * _TIE_RTOL, 1e-300)
+            for j in range(p):
+                if len(active) >= max_active:
+                    break
+                if signs[j] == 0.0 and abs(c[j]) >= tie_floor:
+                    signs[j] = 1.0 if c[j] >= 0.0 else -1.0
+                    active.append(j)
+        k = len(active)
+        gram = np.empty((k, k))
+        for r in range(k):
+            for t in range(k):
+                gram[r, t] = G[active[r], active[t]]
+        rhs = np.array([signs[j] for j in active])
+        try:
+            sol = np.linalg.solve(gram[None], rhs[None, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            return lambdas, coefs, n_knots, _SINGULAR
+        w = np.zeros(p)
+        for t in range(k):
+            w[active[t]] = sol[t]
+        denom = float((signs * w).sum())
+        if not (0.0 < denom < np.inf):
+            return lambdas, coefs, n_knots, _DEGENERATE
+        equi_norm = 1.0 / np.sqrt(denom)
+        direction = w * equi_norm
+        a = np.matmul(G[None], direction[None, :, None])[0, :, 0]
+        gamma_total = biggest / equi_norm
+        gamma_eps = gamma_total * _GAMMA_EPS_RTOL
+        gamma = gamma_total
+        if k < max_active:
+            for j in range(p):
+                if signs[j] != 0.0:
+                    continue
+                for d, num in ((equi_norm - a[j], biggest - c[j]),
+                               (equi_norm + a[j], biggest + c[j])):
+                    if d > 0.0 and gamma_eps < num / d < gamma:
+                        gamma = num / d
+        cross = {}
+        gamma_drop = np.inf
+        for j in active:
+            if direction[j] != 0.0 and gamma_eps < -beta[j] / direction[j]:
+                cross[j] = -beta[j] / direction[j]
+                gamma_drop = min(gamma_drop, cross[j])
+        dropping = gamma_drop <= gamma
+        if dropping:
+            gamma = gamma_drop
+        for j in range(p):
+            c[j] -= gamma * a[j]
+        if gamma == gamma_total and not dropping:
+            biggest = 0.0
+        else:
+            biggest = max(biggest - gamma * equi_norm, 0.0)
+        for j in active:
+            c[j] = signs[j] * biggest
+        for j in range(p):
+            beta[j] += gamma * direction[j]
+        if dropping:
+            ceiling = gamma * (1.0 + _TIE_RTOL)
+            for t in reversed(range(k)):
+                j = active[t]
+                if j in cross and cross[j] <= ceiling:
+                    beta[j] = 0.0
+                    signs[j] = 0.0
+                    active[t] = active[-1]
+                    active.pop()
+        just_dropped = dropping
+        if biggest < tol:
+            biggest = 0.0
+        lambdas[n_knots] = 2.0 * biggest
+        coefs[n_knots] = beta
+        n_knots += 1
+        if biggest <= 0.0:
+            return lambdas, coefs, n_knots, _OK
+        if len(active) >= max_active and not just_dropped:
+            return lambdas, coefs, n_knots, _ACTIVE_CAP

@@ -4,7 +4,7 @@ suite; this file keeps a faster version plus the corner cases)."""
 
 import numpy as np
 import pytest
-from _lars_loop import lar_steps_loop
+from _lars_loop import gram_steps_loop, lar_steps_loop
 
 from sitelasso.cd import cd_lasso, kkt_residuals
 from sitelasso.errors import CollinearTermsError, DataError
@@ -267,14 +267,31 @@ def loop_tail_start(X, y, lambdas, knots):
     return len(knots)
 
 
-@pytest.mark.parametrize(
-    "X, y, max_steps",
+LOOP_CASES = (
     [standardized_instance(seed + 300, 6 + 4 * seed, 3 + 9 * seed) + (None,) for seed in range(6)]
     # seeds: singular Gram, sign drops, tied entry with drops, tied entry,
     # degenerate stop after drops, degenerate stop
     + [tied_instance(seed) + (None,) for seed in (0, 5, 38, 44, 55, 346)]
-    + [standardized_instance(188, 40, 60) + (80,)],
+    + [standardized_instance(188, 40, 60) + (80,)]
 )
+
+
+@pytest.mark.parametrize("X, y, max_steps", LOOP_CASES)
+def test_kernel_reproduces_the_scalar_loop_bit_for_bit(X, y, max_steps):
+    n, p = X.shape
+    max_steps = max_steps or 8 * min(n, p)
+    G, xty = gram_system(X, y)
+    lambdas, coefs, n_knots, status = gram_steps_loop(G, xty, 1e-12, min(n - 1, p), max_steps)
+    knots = []
+    ends = lockstep_paths(G[None], xty[None], [min(n - 1, p)], [max_steps],
+                          lambda paths, lam, beta: knots.append((lam[0], beta[0].copy())), 1e-12)
+    assert (int(ends[0][0]), int(ends[1][0])) == (status, n_knots) == (status, len(knots))
+    assert ends[2][0] == lambdas[n_knots - 1]
+    assert np.array_equal([lam for lam, _ in knots], lambdas[:n_knots])
+    assert np.array_equal([beta for _, beta in knots], coefs[:n_knots])
+
+
+@pytest.mark.parametrize("X, y, max_steps", LOOP_CASES)
 def test_kernel_matches_the_scalar_loop_before_the_ill_conditioned_tail(X, y, max_steps):
     # the loop builds each step's Gram from the active columns; the kernel
     # reads it from X'X, so the two agree to rounding, not to the bit
