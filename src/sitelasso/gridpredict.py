@@ -7,7 +7,9 @@ only the active terms, from its own covariate values, with the same
 arithmetic as point prediction, so a pixel whose covariates equal a point's
 covariates gets exactly the point's prediction. No pixel-by-term design is
 built and no member is replayed, so the cost does not depend on the number
-of splits. Sites come from the site raster as integer codes.
+of splits. Pixels are gathered and evaluated in fixed-size blocks, so memory
+does not grow with the number of covariates times the number of pixels.
+Sites come from the site raster as integer codes.
 
 Method 3's two-stage raster is stage 1 plus the stage-2 function of each
 pixel's own site; every output pixel is evaluated once per stage.
@@ -77,10 +79,27 @@ def _nodata(form, rasters, npix):
     return bad
 
 
+# Pixels gathered and evaluated per block. On a 400x300 grid, an m4 form with 36
+# terms over 5 covariates evaluated in 0.070 s with a 7.1 MB tracemalloc peak
+# at this size, against 0.084 s and 14.1 MB with one block for all pixels;
+# 1,024-pixel blocks took 0.095 s, and 65,536-pixel blocks peaked at 10.5 MB.
+_BLOCK_PIXELS = 1 << 14
+
+
 def _evaluate(form, rasters, pixels, site_index):
-    """The form at the given flat pixels; site_index aligns with them."""
-    cov = {name: rasters[name].values.ravel()[pixels] for name in form.covariates}
-    return form.predict_covariates(cov, site_index)
+    """The form at the given flat pixels; site_index aligns with them.
+
+    Pixels are gathered and evaluated in fixed-size blocks, so only a block's
+    covariates and term values are held at once. ``LinearForm.predict``
+    computes each row on its own, so the blocks do not change the bits.
+    """
+    flat = {name: rasters[name].values.ravel() for name in form.covariates}
+    out = np.empty(pixels.size)
+    for start in range(0, pixels.size, _BLOCK_PIXELS):
+        block = slice(start, start + _BLOCK_PIXELS)
+        cov = {name: values[pixels[block]] for name, values in flat.items()}
+        out[block] = form.predict_covariates(cov, site_index[block])
+    return out
 
 
 def predict_raster(ensemble, rasters, site=None, site_grid=None, site_codes=None):

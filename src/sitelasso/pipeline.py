@@ -300,13 +300,8 @@ def covariate_support_report(data, terms):
         stats = {}
         for site in sites:
             v = z[masks[site]]
-            stats[site] = (
-                float(v.min()),
-                float(np.quantile(v, 0.25)),
-                float(np.quantile(v, 0.5)),
-                float(np.quantile(v, 0.75)),
-                float(v.max()),
-            )
+            q25, med, q75 = np.quantile(v, (0.25, 0.5, 0.75)).tolist()
+            stats[site] = (float(v.min()), q25, med, q75, float(v.max()))
         for site in sites:
             other = sites[1] if site == sites[0] else sites[0]
             lo, q25, med, q75, hi = stats[site]

@@ -2,7 +2,9 @@
 
 Grids are row-major with row 0 the northernmost row, matching the on-disk
 layout of the ASCII format. All floating-point output is printed with 17
-significant digits so files round-trip bit-exactly.
+significant digits so files round-trip bit-exactly. Reading converts the data
+lines to float64 in bounded chunks, so a read costs about the size of the
+grid.
 """
 
 from dataclasses import dataclass
@@ -100,11 +102,38 @@ def write_ascii_grid(path, grid):
             handle.write(template % tuple(row.tolist()))
 
 
+# Characters of data lines converted per np.array call. A 400x300 grid (2.4 MB
+# of text) read in the same time, 0.05-0.07 s, with chunks from 4 KiB to
+# 2 MiB; up to 128 KiB the tracemalloc peak stays at 2.0x the grid's float64
+# array (the chunks plus their concatenation), at 512 KiB it is 3.9x.
+_CHUNK_CHARS = 1 << 17
+
+
 def read_ascii_grid(path):
-    """Parse a plain-text grid; header keys are case-insensitive."""
+    """Parse a plain-text grid; header keys are case-insensitive.
+
+    A line is a header line when its first word is a header key not yet seen
+    and it has two words, wherever it stands; every other line is data.
+    Data lines are converted to float64 in bounded chunks as they are read,
+    so reading costs about the size of the grid. Rows may be ragged: only
+    the total count of values must match the header.
+    """
     header = {}
-    data_lines = []
+    chunks, pending = [], []
+    malformed = None  # the first bad chunk's error, raised after the header's
+
+    def convert():
+        nonlocal malformed
+        if malformed is None:
+            try:
+                # numpy parses each token as float() does, so bits round-trip
+                chunks.append(np.array(" ".join(pending).split(), dtype=np.float64))
+            except ValueError as exc:
+                malformed = exc
+        pending.clear()
+
     with open(path, "r", encoding="utf-8") as handle:
+        chars = 0
         for line in handle:
             first = line.split(None, 1)
             if not first:
@@ -115,7 +144,12 @@ def read_ascii_grid(path):
                 if len(parts) == 2:
                     header[key] = parts[1]
                     continue
-            data_lines.append(line)
+            pending.append(line)
+            chars += len(line)
+            if chars >= _CHUNK_CHARS:
+                convert()
+                chars = 0
+    convert()
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise DataError(f"raster {path} is missing header key {key}")
@@ -126,10 +160,11 @@ def read_ascii_grid(path):
         yll = float(header["yllcorner"])
         cellsize = float(header["cellsize"])
         nodata = float(header.get("nodata_value", DEFAULT_NODATA))
-        # numpy parses each token as float() does, so bits round-trip
-        values = np.array(" ".join(data_lines).split(), dtype=np.float64)
+        if malformed is not None:
+            raise malformed
     except ValueError as exc:
         raise DataError(f"raster {path} has a malformed value: {exc}")
+    values = np.concatenate(chunks)
     if values.size != ncols * nrows:
         raise DataError(
             f"raster {path} carries {values.size} values, expected {ncols * nrows}"

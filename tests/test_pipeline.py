@@ -18,7 +18,8 @@ from sitelasso.pipeline import (
 )
 from sitelasso.splits import make_splits
 from sitelasso.models import FitMetrics
-from sitelasso.terms import parse_term_id
+from sitelasso.pointdata import PointDataset
+from sitelasso.terms import build_term_matrix, parse_term_id
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +153,24 @@ def test_support_csv_and_comparison_csv(tmp_path):
     assert lines[0] == "target,m1-a_r2,m1-a_rmse,m2_r2,m2_rmse"
     assert lines[1].split(",")[0] == "A"
     assert "NA" in lines[2]  # m1-a has no B entry
+
+
+def test_support_quartiles_equal_three_separate_quantile_calls():
+    rng = np.random.default_rng(4)
+    sites = ["A"] * 7 + ["B"] * 8  # an odd and an even count
+    values = np.round(rng.normal(size=(15, 2)), 1)  # rounding makes ties
+    values[:4, 0] = values[4, 0]
+    xy = np.arange(15.0)
+    data = PointDataset(sites, xy, xy, rng.normal(size=15), ["c0", "c1"], values)
+    terms = [parse_term_id(t) for t in ("c0", "c1", "c0^2", "c0:c1")]
+    report = covariate_support_report(data, terms)
+    got = [(r.q25, r.median, r.q75) for r in report]
+    want = []
+    for term in terms:
+        z = build_term_matrix(data.covariate_map(), data.site_ids, [term])[:, 0]
+        z = z - z.mean()
+        z = z / np.sqrt((z**2).sum())
+        for site in ("A", "B"):
+            v = z[data.site_mask(site)]
+            want.append(tuple(float(np.quantile(v, q)) for q in (0.25, 0.5, 0.75)))
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
