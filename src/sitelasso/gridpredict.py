@@ -83,6 +83,8 @@ def _nodata(form, rasters, npix):
 # terms over 5 covariates evaluated in 0.070 s with a 7.1 MB tracemalloc peak
 # at this size, against 0.084 s and 14.1 MB with one block for all pixels;
 # 1,024-pixel blocks took 0.095 s, and 65,536-pixel blocks peaked at 10.5 MB.
+# On the benchmark's raster workload, `run` peaks at 53.6 MB RSS with blocks
+# and 59.2 MB without (8 of 8 alternating pairs).
 _BLOCK_PIXELS = 1 << 14
 
 

@@ -5,14 +5,13 @@ one column per covariate. Floats are written with 17 significant digits so a
 round trip is bit-exact.
 
 Reading streams the file: the numbers are converted to float64 one bounded
-chunk of lines at a time, each token as ``float()`` converts it, so a read
+chunk of records at a time, each token as ``float()`` converts it, so a read
 costs about the size of the arrays it returns. Errors still name the file
 and the line.
 """
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,9 +104,9 @@ class PointDataset:
 
 
 # Tokens converted per np.array call. A 40,000-row, 10-covariate file read in
-# the same time, about 0.37 s, with chunks from 512 to 32,768 tokens; up to
-# there the tracemalloc peak stays at 2.3x the float64 arrays returned (the
-# chunks plus their concatenation), at 131,072 tokens it is 3.4x.
+# the same time, 0.40-0.45 s, with chunks from 512 to 1,048,576 tokens; up to
+# 8,192 the tracemalloc peak stays at 2.3x the float64 arrays returned (the
+# chunks plus their concatenation), at 32,768 tokens it is 2.8x, at 131,072 4.7x.
 _CHUNK_TOKENS = 8192
 
 
@@ -134,18 +133,17 @@ def _chunk_numbers(path, tokens, line_nos):
 def read_points_csv(path):
     """Load a PointDataset from ``path``.
 
-    The file is streamed: the numbers of each bounded chunk of lines become
+    The file is streamed: the numbers of each bounded chunk of records become
     float64 in one conversion, so reading costs about the size of the arrays
-    returned. A line is parsed with ``csv`` only when it contains a quote,
-    and every site id is stored once however many rows carry it.
+    returned. Every site id is stored once however many rows carry it.
 
     Raises DataError on a malformed header, short rows, or unparseable
     numbers, naming the offending row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        lines = iter(handle)
+        reader = csv.reader(handle)
         try:
-            header = next(csv.reader(lines))
+            header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -157,25 +155,18 @@ def read_points_csv(path):
         shared = {}  # one str per distinct site id
         sites, chunks = [], []
         tokens, line_nos = [], []
-        # line_no counts records, as csv.reader does: a quoted record that
-        # spans lines is one record
-        for line_no, line in enumerate(lines, start=2):
-            if '"' in line:
-                fields = next(csv.reader(itertools.chain([line], lines)))
-            else:
-                text = line.rstrip("\r\n")
-                if not text:
-                    continue
-                fields = text.split(",")
-            if len(fields) != len(header):
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
                 if line_nos:
                     _chunk_numbers(path, tokens, line_nos)
                 raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(fields)}"
+                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
                 )
-            site = fields[0].strip()
+            site = row[0].strip()
             sites.append(shared.setdefault(site, site))
-            tokens += fields[1:]
+            tokens += row[1:]
             line_nos.append(line_no)
             if len(tokens) >= _CHUNK_TOKENS:
                 chunks.append(_chunk_numbers(path, tokens, line_nos))
