@@ -10,7 +10,6 @@ import numpy as np
 from .errors import DataError
 from .lars import gram_system, lockstep_paths, path_flags, shrink_rows
 from .models import SelectedModel
-from .pointdata import format_float
 from .standardize import apply_transform, fit_transform
 from .terms import evaluate_term
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .pointdata import format_float
 from .terms import RawDesign, TermSpec
 
 log = logging.getLogger(__name__)
@@ -196,7 +197,7 @@ def write_removal_log(path, records):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["discarded_term", "retained_term", "abs_r", "rule_step"])
         for rec in records:
-            r_text = "" if np.isnan(rec.abs_r) else "%.17g" % rec.abs_r
+            r_text = "" if np.isnan(rec.abs_r) else format_float(rec.abs_r)
             writer.writerow([rec.discarded_term, rec.retained_term, r_text, rec.rule_step])
 
 

@@ -2,9 +2,12 @@
 
 Grids are row-major with row 0 the northernmost row, matching the on-disk
 layout of the ASCII format. All floating-point output is printed with 17
-significant digits so files round-trip bit-exactly. Reading converts the data
-lines to float64 in bounded chunks, so a read costs about the size of the
-grid.
+significant digits so files round-trip bit-exactly. Writing prints a block
+of whole rows at a time with ``pointdata.format_rows``, which gives the bytes
+of one ``'%.17g'`` per cell from exact integer arithmetic, so a write's
+transient memory is a few MB whatever the size of the grid. Reading converts
+the data lines to float64 in bounded chunks, so a read costs about the size
+of the grid.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .pointdata import format_float
+from .pointdata import format_float, format_rows, row_blocks
 
 DEFAULT_NODATA = -9999.0
 
@@ -88,18 +91,22 @@ class RasterGrid:
 
 
 def write_ascii_grid(path, grid):
-    """Write a grid in the plain-text header + row-major layout."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"ncols {grid.ncols}\n")
-        handle.write(f"nrows {grid.nrows}\n")
-        handle.write(f"xllcorner {format_float(grid.xll)}\n")
-        handle.write(f"yllcorner {format_float(grid.yll)}\n")
-        handle.write(f"cellsize {format_float(grid.cellsize)}\n")
-        handle.write(f"NODATA_value {format_float(grid.nodata)}\n")
-        # one %-operation per row prints each cell exactly as format_float does
-        template = " ".join(["%.17g"] * grid.ncols) + "\n"
-        for row in grid.values:
-            handle.write(template % tuple(row.tolist()))
+    """Write a grid in the plain-text header + row-major layout.
+
+    The cells are printed by ``format_rows`` a block of rows at a time.
+    """
+    header = (
+        f"ncols {grid.ncols}\n"
+        f"nrows {grid.nrows}\n"
+        f"xllcorner {format_float(grid.xll)}\n"
+        f"yllcorner {format_float(grid.yll)}\n"
+        f"cellsize {format_float(grid.cellsize)}\n"
+        f"NODATA_value {format_float(grid.nodata)}\n"
+    )
+    with open(path, "wb") as handle:
+        handle.write(header.encode("ascii"))
+        for rows in row_blocks(grid.nrows, grid.ncols):
+            handle.write(format_rows(grid.values[rows], " "))
 
 
 # Characters of data lines converted per np.array call. A 400x300 grid (2.4 MB

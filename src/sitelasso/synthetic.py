@@ -143,6 +143,28 @@ def _eval_field(spec_field, waves, x, y, in_site1):
     return out
 
 
+def _eval_grid_field(spec_field, waves, gx, gy, site1_cols, buffer):
+    """``_eval_field`` over the cell-centre mesh of ``gx`` and ``gy``.
+
+    Each wave adds the column products ``wx[k] * gx`` to the row products
+    ``wy[k] * gy`` in ``buffer``, an (nrows, ncols) array reused across
+    waves: the operations and operands of ``_eval_field`` over the flattened
+    mesh, so the bits are the same. Site 1 holds the first ``site1_cols``
+    columns.
+    """
+    base = np.zeros_like(buffer)
+    for k in range(spec_field.n_waves):
+        np.add(waves.wx[k] * gx, (waves.wy[k] * gy)[:, None], out=buffer)
+        buffer += waves.phase[k]
+        np.cos(buffer, out=buffer)
+        base += buffer
+    base *= spec_field.amplitude * math.sqrt(2.0 / spec_field.n_waves)
+    if spec_field.site1_scale != 1.0 or spec_field.site1_shift != 0.0:
+        site1 = base[:, :site1_cols]
+        site1[...] = site1 * spec_field.site1_scale + spec_field.site1_shift
+    return base
+
+
 def _site_regions(spec):
     """x ranges of the two site regions and the gap, in whole columns."""
     usable = spec.ncols - spec.gap_cols
@@ -220,11 +242,9 @@ def generate_synthetic(spec):
     # co-registered rasters at cell centers
     gx = spec.xll + (np.arange(spec.ncols) + 0.5) * spec.cellsize
     gy = spec.yll + (spec.nrows - np.arange(spec.nrows) - 0.5) * spec.cellsize
-    mesh_x, mesh_y = np.meshgrid(gx, gy)
     col_idx = np.arange(spec.ncols)
     in_site1_cols = col_idx < left_cols
     in_gap_cols = (col_idx >= left_cols) & (col_idx < right_start)
-    in_site1_grid = np.broadcast_to(in_site1_cols, (spec.nrows, spec.ncols))
 
     def _grid(values):
         return RasterGrid(
@@ -237,12 +257,11 @@ def generate_synthetic(spec):
             values=values,
         )
 
-    rasters = {}
-    for f, w in zip(spec.fields, waves):
-        flat = _eval_field(
-            f, w, mesh_x.ravel(), mesh_y.ravel(), in_site1_grid.ravel()
-        )
-        rasters[f.name] = _grid(flat.reshape(spec.nrows, spec.ncols))
+    buffer = np.empty((spec.nrows, spec.ncols))
+    rasters = {
+        f.name: _grid(_eval_grid_field(f, w, gx, gy, left_cols, buffer))
+        for f, w in zip(spec.fields, waves)
+    }
 
     site_values = np.where(in_site1_cols, 1.0, 2.0)
     site_values = np.where(in_gap_cols, spec.nodata, site_values)

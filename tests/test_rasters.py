@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,26 +68,54 @@ def test_read_rejects_missing_header_and_bad_counts(tmp_path):
         read_ascii_grid(short)
 
 
+def synth_sized_values():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(90, 120)) * 10.0 ** rng.integers(-5, 16, size=(90, 120))
+    values[:, 57:63] = DEFAULT_NODATA
+    values[3, :4] = [-0.0, 5e-324, np.nan, 0.0]
+    values[-1, -1] = np.nan
+    return values
+
+
 def test_ascii_rows_match_the_per_cell_formatter(tmp_path):
-    values = np.array(
+    specials = np.array(
         [
             [1.5, DEFAULT_NODATA, -0.0, 5e-324],
             [1e300, -1e300, 0.1, 2.0 / 3.0],
             [np.pi, -2.2250738585072014e-308, 123456789.125, 7.0],
         ]
     )
-    grid = grid_of(values, xll=-12.5, yll=3.25, cellsize=2.5)
-    path = tmp_path / "g.asc"
-    write_ascii_grid(path, grid)
-    header = (
-        "ncols 4\nnrows 3\nxllcorner -12.5\nyllcorner 3.25\n"
-        "cellsize 2.5\nNODATA_value -9999\n"
-    )
-    rows = "".join(" ".join(format_float(v) for v in row) + "\n" for row in values)
-    assert path.read_bytes() == (header + rows).encode("utf-8")
-    back = read_ascii_grid(path)
-    assert np.array_equal(back.values, values)
-    assert np.signbit(back.values[0, 2])
+    for values in (specials, synth_sized_values()):
+        grid = grid_of(values, xll=-12.5, yll=3.25, cellsize=2.5)
+        path = tmp_path / "g.asc"
+        write_ascii_grid(path, grid)
+        header = (
+            f"ncols {grid.ncols}\nnrows {grid.nrows}\nxllcorner -12.5\n"
+            "yllcorner 3.25\ncellsize 2.5\nNODATA_value -9999\n"
+        )
+        rows = "".join(" ".join(format_float(v) for v in row) + "\n" for row in values)
+        assert path.read_bytes() == (header + rows).encode("utf-8")
+        back = read_ascii_grid(path)
+        assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+
+
+def write_peak(path, shape):
+    values = np.random.default_rng(5).normal(size=shape)
+    grid = grid_of(values)
+    tracemalloc.start()
+    try:
+        write_ascii_grid(path, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    write_ascii_grid(tmp_path / "first.asc", grid_of(np.ones((1, 1))))  # lazy tables
+    small = write_peak(tmp_path / "small.asc", (250, 1000))
+    large = write_peak(tmp_path / "large.asc", (1000, 1000))
+    assert large < 3e6  # a 1000x1000 grid is 8 MB of float64 and 19 MB of text
+    assert large < 1.2 * small
 
 
 def test_reader_parses_every_written_token_as_float_does(tmp_path):

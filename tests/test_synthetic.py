@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from sitelasso.errors import ConfigError
-from sitelasso.synthetic import FieldSpec, SyntheticSpec, default_fields, generate_synthetic
+from sitelasso.synthetic import (
+    FieldSpec,
+    SyntheticSpec,
+    _draw_waves,
+    _eval_field,
+    _site_regions,
+    default_fields,
+    generate_synthetic,
+)
 from sitelasso.terms import evaluate_term, parse_term_id
 
 
@@ -102,6 +110,38 @@ def test_points_agree_with_field_rasters_at_pixel_scale():
     looked_up = grid.values[rows, cols]
     spread = np.std(pts.covariate("cov0"))
     assert np.max(np.abs(looked_up - pts.covariate("cov0"))) < 0.2 * max(spread, 1e-9)
+
+
+def test_grid_fields_equal_the_field_over_the_flattened_mesh():
+    spec = SyntheticSpec(
+        seed=11,
+        fields=(
+            FieldSpec("cov0", length_scale=90.0, site1_shift=0.75, site1_scale=1.6),
+            FieldSpec("cov1", amplitude=2.5, site1_scale=0.4, n_waves=7),
+            FieldSpec("cov2", length_scale=300.0),
+        ),
+        coef_global={"cov0": 1.0},
+        coef_site={},
+        ncols=37,
+        nrows=23,
+        cellsize=17.5,
+        xll=-120.0,
+        yll=40.0,
+        gap_cols=3,
+    )
+    _, rasters, _, _ = generate_synthetic(spec)
+    rng = np.random.default_rng(spec.seed)
+    waves = [_draw_waves(rng, f) for f in spec.fields]
+    left_cols = _site_regions(spec)[2]
+    gx = spec.xll + (np.arange(spec.ncols) + 0.5) * spec.cellsize
+    gy = spec.yll + (spec.nrows - np.arange(spec.nrows) - 0.5) * spec.cellsize
+    mesh_x, mesh_y = np.meshgrid(gx, gy)
+    in_site1 = np.broadcast_to(np.arange(spec.ncols) < left_cols, mesh_x.shape)
+    for f, w in zip(spec.fields, waves):
+        flat = _eval_field(f, w, mesh_x.ravel(), mesh_y.ravel(), in_site1.ravel())
+        got = rasters[f.name].values
+        assert got.shape == (spec.nrows, spec.ncols)
+        assert np.array_equal(got.ravel().view(np.int64), flat.view(np.int64)), f.name
 
 
 @pytest.mark.parametrize(
