@@ -9,7 +9,6 @@ full-cover rasters. Four site-effect treatments are provided: per-site fits
 and a pooled fit over global plus site-scoped column blocks (m4).
 """
 
-from .cd import cd_lasso, kkt_residuals, lasso_objective
 from .ensemble import (
     Ensemble,
     ensemble_weights,
@@ -35,7 +34,7 @@ from .features import (
 )
 from .gridpredict import predict_raster, predict_raster_two_stage
 from .lars import LassoPath, PathKnot, lar_lasso_path
-from .models import FitMetrics, SelectedModel, fit_metrics, predict
+from .models import FitMetrics, SelectedModel, fit_metrics
 from .pipeline import (
     MethodRun,
     RunDesigns,
@@ -87,7 +86,6 @@ __all__ = [
     "apply_transform",
     "assemble_site_blocks",
     "build_term_matrix",
-    "cd_lasso",
     "check_standardized",
     "covariate_support_report",
     "ensemble_weights",
@@ -98,14 +96,11 @@ __all__ = [
     "fit_metrics",
     "fit_transform",
     "generate_synthetic",
-    "kkt_residuals",
     "lar_lasso_path",
-    "lasso_objective",
     "make_splits",
     "member_predictions",
     "model_average",
     "parse_term_id",
-    "predict",
     "predict_raster",
     "predict_raster_two_stage",
     "read_ascii_grid",

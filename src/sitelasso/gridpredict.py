@@ -62,7 +62,8 @@ def sites_from_raster(site_grid, site_codes):
     for value in values:
         name = by_value.get(float(value))
         if name is None:
-            raise DataError(f"site raster value {value!r} has no site mapping")
+            code = np.format_float_positional(value, trim="-")
+            raise DataError(f"site raster value {code} has no site in the site_codes setting")
         lookup.append(names.index(name))
     codes = np.full(flat.size, -1, dtype=np.intp)
     codes[known] = np.asarray(lookup, dtype=np.intp)[inverse]

@@ -456,7 +456,7 @@ def lar_lasso_path(
     if validate:
         if not np.isfinite(y).all():
             raise DataError("non-finite response values")
-        scale = max(1.0, float(np.max(np.abs(y))) if n else 1.0)
+        scale = max(1.0, float(np.max(np.abs(y))))
         if abs(float(y.mean())) > 1e-8 * scale:
             raise DataError(f"response is not centred (mean {y.mean():.3e})")
         check_standardized(StandardizedMatrix(values, _IdTerms(column_ids), ""))

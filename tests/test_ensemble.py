@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from _spec_route import predict
 
 from sitelasso import artifacts
 from sitelasso.ensemble import (
@@ -17,7 +18,6 @@ from sitelasso.ensemble import (
 from sitelasso.errors import DataError
 from sitelasso.features import assemble_site_blocks, expand_terms
 from sitelasso.lars import LassoPath, PathKnot, lar_lasso_path
-from sitelasso.models import predict
 from sitelasso.pointdata import PointDataset
 from sitelasso.splits import make_splits
 from sitelasso.standardize import StandardizedMatrix, apply_transform, fit_transform

@@ -4,9 +4,9 @@ suite; this file keeps a faster version plus the corner cases)."""
 
 import numpy as np
 import pytest
+from _cd_oracle import cd_lasso, kkt_residuals
 from _lars_loop import gram_steps_loop, lar_steps_loop
 
-from sitelasso.cd import cd_lasso, kkt_residuals
 from sitelasso.errors import CollinearTermsError, DataError
 from sitelasso.lars import gram_system, lar_lasso_path, lockstep_paths, path_flags
 

