@@ -17,14 +17,17 @@ import shutil
 import sys
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import artifacts
 from .config import ENV_OUTPUT_DIR, METHOD_LABELS, load_run_config, load_synth_spec
 from .ensemble import tally_selection, write_selection_csv, write_size_histogram_csv
 from .errors import ConfigError, DataError, NumericalError, SiteLassoError
 from .features import write_removal_log
-from .gridpredict import predict_raster, predict_raster_two_stage
+from .gridpredict import (
+    check_registration,
+    predict_raster,
+    predict_raster_two_stage,
+    sites_from_raster,
+)
 from .pipeline import (
     COMBINED,
     RunDesigns,
@@ -38,7 +41,7 @@ from .pipeline import (
     write_residuals_csv,
     write_support_csv,
 )
-from .pointdata import PointDataset, format_float, read_points_csv
+from .pointdata import format_float, read_points_csv
 from .rasters import read_ascii_grid, write_ascii_grid
 from .splits import make_splits, plan_to_dict
 from .standardize import write_transform_csv
@@ -52,13 +55,11 @@ def _tag(label):
 
 
 def _read_rasters(rasters_dir):
-    grids = {}
-    for path in sorted(glob.glob(os.path.join(rasters_dir, "*.asc"))):
-        name = os.path.splitext(os.path.basename(path))[0]
-        grids[name] = read_ascii_grid(path)
-    if not grids:
+    """(path, grid) pairs of the covariate rasters, in file name order."""
+    paths = sorted(glob.glob(os.path.join(rasters_dir, "*.asc")))
+    if not paths:
         raise DataError(f"no .asc rasters found in {rasters_dir}")
-    return grids
+    return [(path, read_ascii_grid(path)) for path in paths]
 
 
 def _quota_for(config, site, n_rows):
@@ -120,12 +121,20 @@ def cmd_run(args):
     quotas = {s: _quota_for(config, s, len(data.site_rows(s))) for s in sites}
     plan = make_splits(data, quotas, config.n_splits, config.seed)
 
+    # Every raster fault ends the run here, before anything is fitted or
+    # written, whether or not a requested method reads the faulty raster.
     rasters = site_grid = None
+    grids = []
     site_codes = dict(config.site_codes) or {1.0: sites[0], 2.0: sites[1]}
     if config.rasters_dir:
-        rasters = _read_rasters(config.rasters_dir)
+        grids = _read_rasters(config.rasters_dir)
+        rasters = {os.path.splitext(os.path.basename(p))[0]: g for p, g in grids}
     if config.site_raster:
         site_grid = read_ascii_grid(config.site_raster)
+        grids.append((config.site_raster, site_grid))
+    check_registration(grids)
+    if site_grid is not None:
+        sites_from_raster(site_grid, site_codes)
 
     run_dir = config.output_dir
     os.makedirs(run_dir, exist_ok=True)
@@ -248,31 +257,6 @@ def cmd_synth(args):
     return 0
 
 
-def _combined_for_support(source_data, source_site, target_data, target_site):
-    """One two-site dataset from the source site's rows plus the target's."""
-    names = [
-        n for n in source_data.covariate_names if n in target_data.covariate_names
-    ]
-    src_rows = source_data.site_rows(source_site)
-    tgt_rows = target_data.site_rows(target_site)
-    src = source_data.subset(src_rows)
-    tgt = target_data.subset(tgt_rows)
-    src_cols = {n: src.covariate(n) for n in names}
-    tgt_cols = {n: tgt.covariate(n) for n in names}
-    return PointDataset(
-        site_ids=np.concatenate([src.site_ids, tgt.site_ids]),
-        x=np.concatenate([src.x, tgt.x]),
-        y=np.concatenate([src.y, tgt.y]),
-        response=np.concatenate([src.response, tgt.response]),
-        covariate_names=names,
-        covariate_values=np.column_stack(
-            [np.concatenate([src_cols[n], tgt_cols[n]]) for n in names]
-        )
-        if names
-        else np.empty((len(src.site_ids) + len(tgt.site_ids), 0)),
-    )
-
-
 def cmd_transfer(args):
     target = read_points_csv(args.target)
     paths = sorted(glob.glob(os.path.join(args.run_dir, "ensemble_m1_*.json")))
@@ -310,8 +294,7 @@ def cmd_transfer(args):
                 if tsite == source_site or source_site not in source_data.sites():
                     continue
                 report = covariate_support_report(
-                    _combined_for_support(source_data, source_site, target, tsite),
-                    ens.terms,
+                    (source_data, source_site), (target, tsite), ens.terms
                 )
                 write_support_csv(
                     os.path.join(out_dir, "support_report.csv"), report

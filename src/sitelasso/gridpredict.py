@@ -24,23 +24,45 @@ import numpy as np
 from .ensemble import linear_form
 from .errors import DataError
 
-__all__ = ["predict_raster", "predict_raster_two_stage", "sites_from_raster"]
+__all__ = [
+    "check_registration",
+    "predict_raster",
+    "predict_raster_two_stage",
+    "sites_from_raster",
+]
+
+
+def _plain(value):
+    return np.format_float_positional(value, trim="-")
+
+
+def check_registration(grids):
+    """Raise DataError unless every raster is co-registered with the first.
+
+    ``grids`` holds ``(label, RasterGrid)`` pairs; a label is a file path or
+    a covariate name. The error names the first raster that differs, its
+    first header field that differs with both values, and the first raster.
+    """
+    for label, grid in grids[1:]:
+        difference = grid.first_difference(grids[0][1])
+        if difference is not None:
+            key, value, expected = difference
+            raise DataError(
+                f"raster {label}: {key} {_plain(value)} differs from "
+                f"{_plain(expected)} in {grids[0][0]}"
+            )
 
 
 def _reference_grid(rasters, site_grid):
-    for name in sorted(rasters):
-        return rasters[name]
+    """The output grid, the first covariate raster by name or else the site
+    raster, once every raster is checked to be co-registered with it."""
+    grids = [(name, rasters[name]) for name in sorted(rasters)]
     if site_grid is not None:
-        return site_grid
-    raise DataError("at least one raster is required to define the output grid")
-
-
-def _check_registration(rasters, site_grid, ref):
-    for name in sorted(rasters):
-        if not rasters[name].same_grid(ref):
-            raise DataError(f"raster {name!r} is not co-registered with the others")
-    if site_grid is not None and not site_grid.same_grid(ref):
-        raise DataError("site raster is not co-registered with the covariate rasters")
+        grids.append(("site_grid", site_grid))
+    if not grids:
+        raise DataError("at least one raster is required to define the output grid")
+    check_registration(grids)
+    return grids[0][1]
 
 
 def sites_from_raster(site_grid, site_codes):
@@ -48,25 +70,26 @@ def sites_from_raster(site_grid, site_codes):
 
     ``site_codes`` maps raster cell value to site name. Returns
     ``(names, codes)``: the sorted site names and, per flat pixel, the index
-    of its site in ``names``, or -1 for a nodata cell. Any other unmapped
-    value is an error.
+    of its site in ``names`` (the smallest signed integer type that holds
+    it), or -1 for a nodata cell. Any other unmapped value is an error,
+    which names the smallest one.
     """
     if site_codes is None:
         raise DataError("a site raster needs site_codes to name its values")
     by_value = {float(k): v for k, v in site_codes.items()}
     names = sorted(set(by_value.values()))
     flat = site_grid.values.ravel()
-    known = ~site_grid.nodata_mask().ravel()
-    values, inverse = np.unique(flat[known], return_inverse=True)
-    lookup = []
-    for value in values:
-        name = by_value.get(float(value))
-        if name is None:
-            code = np.format_float_positional(value, trim="-")
-            raise DataError(f"site raster value {code} has no site in the site_codes setting")
-        lookup.append(names.index(name))
-    codes = np.full(flat.size, -1, dtype=np.intp)
-    codes[known] = np.asarray(lookup, dtype=np.intp)[inverse]
+    nodata = site_grid.nodata_mask().ravel()
+    codes = np.full(flat.size, -1, dtype=np.min_scalar_type(-len(names)))
+    mapped = nodata.copy()
+    for value, name in by_value.items():
+        hit = flat == value
+        codes[hit] = names.index(name)
+        mapped |= hit
+    if not mapped.all():
+        code = _plain(flat[~mapped].min())
+        raise DataError(f"site raster value {code} has no site in the site_codes setting")
+    codes[nodata] = -1
     return names, codes
 
 
@@ -114,7 +137,6 @@ def predict_raster(ensemble, rasters, site=None, site_grid=None, site_codes=None
     ``site_codes``; with a site raster, its nodata cells are nodata.
     """
     ref = _reference_grid(rasters, site_grid)
-    _check_registration(rasters, site_grid, ref)
     form = linear_form(ensemble)
     npix = ref.nrows * ref.ncols
     bad = _nodata(form, rasters, npix)
@@ -150,7 +172,6 @@ def predict_raster_two_stage(
     nodata, as are pixels missing a covariate either stage reads.
     """
     ref = _reference_grid(rasters, site_grid)
-    _check_registration(rasters, site_grid, ref)
     names, codes = sites_from_raster(site_grid, site_codes)
     stage1 = linear_form(stage1_ensemble)
     valid = np.flatnonzero(~((codes < 0) | _nodata(stage1, rasters, codes.size)))

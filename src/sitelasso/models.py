@@ -46,13 +46,17 @@ def fit_metrics(observed, predicted):
         raise DataError("metrics need at least two observations")
     if not (np.isfinite(obs).all() and np.isfinite(pred).all()):
         raise DataError("non-finite values in metrics input")
-    sst = float(((obs - obs.mean()) ** 2).sum())
+    # one n-sized buffer: the centred observations, then the residuals, each
+    # squared in place
+    squares = obs - obs.mean()
+    sst = float(np.square(squares, out=squares).sum())
     if sst == 0.0:
         raise NumericalError("undefined R2: observed values are constant")
-    resid = obs - pred
-    sse = float((resid**2).sum())
+    np.subtract(obs, pred, out=squares)
+    np.square(squares, out=squares)
+    sse = float(squares.sum())
     return FitMetrics(
         r2=1.0 - sse / sst,
-        rmse=float(np.sqrt((resid**2).mean())),
+        rmse=float(np.sqrt(squares.mean())),
         n=obs.size,
     )

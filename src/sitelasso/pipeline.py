@@ -25,7 +25,7 @@ from .errors import DataError
 from .features import assemble_site_blocks, expand_terms, filter_collinear
 from .models import fit_metrics
 from .pointdata import format_float
-from .terms import build_term_matrix
+from .terms import evaluate_term
 
 log = logging.getLogger(__name__)
 
@@ -241,19 +241,31 @@ class TransferResult:
     predictions: np.ndarray
 
 
+# Target rows evaluated per block, so the term values of one block are the
+# only temporaries of a prediction, however many rows the target has.
+_BLOCK_ROWS = 1 << 14
+
+
 def evaluate_transfer(source_run, target_data):
     """Predict another site's observations with a method-1 ensemble.
 
     Evaluates the source ensemble's linear form, built from the source
     models' training transforms and weights unchanged; nothing is refitted.
+    Rows are evaluated a block at a time; ``LinearForm.predict`` computes
+    each row on its own, so the blocks do not change the bits.
     Raises DataError if the target lacks a covariate the source models read.
     """
     if source_run.method != "m1":
         raise DataError("transfer needs a method-1 (single site) source run")
     form = linear_form(source_run.ensemble)
-    preds = form.predict_covariates(
-        target_data.covariate_map(), form.site_index(target_data.site_ids)
-    )
+    covariates = target_data.covariate_map()
+    preds = np.empty(target_data.n_rows)
+    for start in range(0, target_data.n_rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        preds[block] = form.predict_covariates(
+            {name: values[block] for name, values in covariates.items()},
+            form.site_index(target_data.site_ids[block]),
+        )
     target_sites = target_data.sites()
     label = target_sites[0] if len(target_sites) == 1 else COMBINED
     return TransferResult(
@@ -276,34 +288,53 @@ class SupportRow:
     outside_other_range: bool
 
 
-def covariate_support_report(data, terms):
+def covariate_support_report(first, second, terms):
     """Per-site spread of each term's values after pooled standardization.
 
-    Term values are computed ignoring site scope (the question is how the
-    underlying quantity is distributed), pooled over all rows, recentred to
-    mean zero and rescaled to unit L2 norm, then summarized per site. A
-    site's row is flagged when its interquartile range lies entirely outside
-    the other site's full range, the extrapolation signature.
+    ``first`` and ``second`` are ``(PointDataset, site)`` pairs: the rows of
+    one site of each dataset (the same dataset may appear twice). Only the
+    covariates both datasets carry are read. Term values are computed
+    ignoring site scope (the question is how the underlying quantity is
+    distributed), pooled over both sites' rows (``first``'s rows first),
+    recentred to mean zero and rescaled to unit L2 norm, then summarized per
+    site, in site order. A site's row is flagged when its interquartile range
+    lies entirely outside the other site's full range, the extrapolation
+    signature.
+
+    Each term is evaluated from the site rows of the covariates it reads, on
+    each side; no combined dataset and no copy of a site's covariate table
+    is built, so the report's temporaries are a few columns of one term.
     """
-    sites = data.sites()
-    if len(sites) != 2:
+    (data_a, site_a), (data_b, site_b) = first, second
+    shared = [n for n in data_a.covariate_names if n in data_b.covariate_names]
+    sides = [
+        (data.site_rows(site), {n: data.covariate(n) for n in shared})
+        for data, site in (first, second)
+    ]
+    n_a = len(sides[0][0])
+    if site_a == site_b or not (n_a and len(sides[1][0])):
         raise DataError("support report compares exactly two sites")
-    cov = data.covariate_map()
+    if terms and not shared:
+        raise DataError("no covariates supplied")
     rows = []
-    masks = {s: data.site_mask(s) for s in sites}
     for term in terms:
         base = term.unscoped()
-        values = build_term_matrix(cov, data.site_ids, [base])[:, 0]
-        centred = values - values.mean()
-        norm = float(np.sqrt((centred**2).sum()))
-        z = centred / norm if norm > 0 else centred
+        # each side's rows of only the covariates this term reads
+        values = np.concatenate(
+            [
+                evaluate_term(base, {n: cov[n][index] for n in base.covariates if n in cov})
+                for index, cov in sides
+            ]
+        )
+        values -= values.mean()
+        norm = float(np.sqrt(np.square(values).sum()))
+        if norm > 0:
+            values /= norm
         stats = {}
-        for site in sites:
-            v = z[masks[site]]
+        for site, v in ((site_a, values[:n_a]), (site_b, values[n_a:])):
             q25, med, q75 = np.quantile(v, (0.25, 0.5, 0.75)).tolist()
             stats[site] = (float(v.min()), q25, med, q75, float(v.max()))
-        for site in sites:
-            other = sites[1] if site == sites[0] else sites[0]
+        for site, other in sorted([(site_a, site_b), (site_b, site_a)]):
             lo, q25, med, q75, hi = stats[site]
             o_lo, _, _, _, o_hi = stats[other]
             flagged = q75 < o_lo or q25 > o_hi

@@ -20,6 +20,14 @@ from .pointdata import format_float, format_rows, row_blocks
 DEFAULT_NODATA = -9999.0
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+# The header fields that place a grid, with the RasterGrid attribute of each.
+_GEOMETRY = (
+    ("ncols", "ncols"),
+    ("nrows", "nrows"),
+    ("xllcorner", "xll"),
+    ("yllcorner", "yll"),
+    ("cellsize", "cellsize"),
+)
 
 
 @dataclass
@@ -49,34 +57,21 @@ class RasterGrid:
                 f"(nrows, ncols) = ({self.nrows}, {self.ncols})"
             )
 
-    @property
-    def x_max(self):
-        return self.xll + self.ncols * self.cellsize
+    def first_difference(self, other):
+        """The first header field whose value differs from ``other``'s.
 
-    @property
-    def y_max(self):
-        return self.yll + self.nrows * self.cellsize
-
-    def same_grid(self, other):
-        """True when the two rasters are co-registered (identical geometry)."""
-        return (
-            self.ncols == other.ncols
-            and self.nrows == other.nrows
-            and self.xll == other.xll
-            and self.yll == other.yll
-            and self.cellsize == other.cellsize
-        )
+        Returns ``(key, own value, other's value)``, or None when the two
+        rasters are co-registered (identical geometry).
+        """
+        for key, attr in _GEOMETRY:
+            value, expected = getattr(self, attr), getattr(other, attr)
+            if value != expected:
+                return key, value, expected
+        return None
 
     def nodata_mask(self):
         """Boolean (nrows, ncols) array flagging missing cells."""
         return (self.values == self.nodata) | np.isnan(self.values)
-
-    def x_centers(self):
-        return self.xll + (np.arange(self.ncols) + 0.5) * self.cellsize
-
-    def y_centers(self):
-        """Cell-center y coordinates ordered like the rows (north to south)."""
-        return self.yll + (self.nrows - np.arange(self.nrows) - 0.5) * self.cellsize
 
     def with_values(self, values):
         return RasterGrid(

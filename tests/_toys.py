@@ -1,4 +1,7 @@
-"""Shared builders for small two-site datasets used across test modules."""
+"""Shared builders for small two-site datasets and configs used across test modules."""
+
+import os
+import re
 
 import numpy as np
 
@@ -32,3 +35,16 @@ def two_site_data(seed=0, n_a=22, n_b=18, p=4, noise=0.05, shift=0.0, scale_a=1.
         [f"c{j}" for j in range(p)],
         cov,
     )
+
+
+def quickstart_config(directory, name, **values):
+    """A copy of configs/<name> in ``directory`` with the given settings replaced."""
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    with open(os.path.join(configs, name), encoding="utf-8") as handle:
+        text = handle.read()
+    for key, value in values.items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1, key
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)

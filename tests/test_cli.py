@@ -2,10 +2,12 @@ import csv
 import filecmp
 import os
 import re
+import shutil
 import subprocess
 import sys
 
 import pytest
+from _toys import quickstart_config
 
 import sitelasso
 from sitelasso import artifacts, pipeline
@@ -348,19 +350,6 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def quickstart_config(directory, name, **values):
-    """A copy of configs/<name> in ``directory`` with the given settings replaced."""
-    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-    with open(os.path.join(configs, name), encoding="utf-8") as handle:
-        text = handle.read()
-    for key, value in values.items():
-        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        assert n == 1, key
-    path = directory / name
-    path.write_text(text, encoding="utf-8")
-    return str(path)
-
-
 @pytest.fixture(scope="module")
 def quickstart_data(tmp_path_factory):
     """The dataset configs/synth_quickstart.cfg writes."""
@@ -371,32 +360,38 @@ def quickstart_data(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "site_codes, shift, culprit",
+    "site_codes, shifted, culprit",
     [
-        ("1: B1", False, "site raster value 2 has no site in the site_codes setting"),
-        ("1: B1, 2: B2", True, "site raster is not co-registered"),
+        ("1: B1", None, "site raster value 2 has no site in the site_codes setting"),
+        ("1: B1, 2: B2", "site.asc", "site.asc: xllcorner 5 differs from 0 in "),
+        ("1: B1, 2: B2", "rasters/cov1.asc", "rasters/cov1.asc: xllcorner 5 differs from 0 in "),
     ],
-    ids=["unmapped_code", "shifted_site_raster"],
+    ids=["unmapped_code", "shifted_site_raster", "shifted_covariate_raster"],
 )
 def test_site_raster_faults_end_with_one_line_and_exit_code_3(
-    quickstart_data, tmp_path, capsys, site_codes, shift, culprit
+    quickstart_data, tmp_path, capsys, site_codes, shifted, culprit
 ):
-    site_raster = quickstart_data / "site.asc"
-    if shift:
-        text, n = re.subn(r"^xllcorner .*$", "xllcorner 5", site_raster.read_text(), flags=re.M)
+    data = tmp_path / "data"
+    shutil.copytree(quickstart_data, data)
+    if shifted:
+        path = data / shifted
+        text, n = re.subn(r"^xllcorner .*$", "xllcorner 5", path.read_text(), flags=re.M)
         assert n == 1
-        site_raster = tmp_path / "site.asc"
-        site_raster.write_text(text)
+        path.write_text(text)
+    # m1-b1 never reads the site raster; a faulty one fails the run all the same
+    methods = "m1-b1" if shifted == "site.asc" else "m4"
     cfg = quickstart_config(
-        tmp_path, "run_quickstart.cfg", points=quickstart_data / "points.csv",
-        output_dir=tmp_path / "run", methods="m4", n_splits=8,
-        rasters_dir=quickstart_data / "rasters", site_raster=site_raster,
+        tmp_path, "run_quickstart.cfg", points=data / "points.csv",
+        output_dir=tmp_path / "run", methods=methods, n_splits=8,
+        rasters_dir=data / "rasters", site_raster=data / "site.asc",
         site_codes=site_codes,
     )
     assert main(["run", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert culprit in err[0]
+    # the fault is found before fitting, so no run directory is started
+    assert not (tmp_path / "run").exists()
 
 
 def test_quickstart_paths_end_without_a_degenerate_stop(quickstart_data, tmp_path):

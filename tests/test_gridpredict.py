@@ -3,7 +3,12 @@ import pytest
 
 from sitelasso.ensemble import Ensemble
 from sitelasso.errors import DataError
-from sitelasso.gridpredict import predict_raster, predict_raster_two_stage
+from sitelasso.gridpredict import (
+    check_registration,
+    predict_raster,
+    predict_raster_two_stage,
+    sites_from_raster,
+)
 from sitelasso.models import SelectedModel
 from sitelasso.pipeline import RunDesigns, run_method1, run_method2, run_method3, run_method4
 from sitelasso.rasters import RasterGrid
@@ -142,7 +147,8 @@ def test_grid_mismatch_and_missing_covariate_errors():
     )
     broken = dict(rasters)
     broken["cov0"] = shifted
-    with pytest.raises(DataError, match="co-registered"):
+    # cov0 is the reference grid, so the first raster that differs from it is named
+    with pytest.raises(DataError, match="^raster cov1: xllcorner 0 differs from 1 in cov0$"):
         predict_raster(run.ensemble, broken)
     needed = run.ensemble.needed_covariates()
     partial = {k: v for k, v in rasters.items() if k != needed[0]}
@@ -244,3 +250,36 @@ def test_raster_point_consistency():
 
     point_pred = model_average(ens, design)[0]
     assert grid.values[pix_row, pix_col] == point_pred
+
+
+def test_site_codes_map_each_configured_value_and_name_the_smallest_unmapped():
+    values = np.array([[2.0, 1.0, -9999.0], [np.nan, 7.0, 2.0]])
+    grid = RasterGrid(3, 2, 0.0, 0.0, 1.0, -9999.0, values)
+    # a code equal to the nodata value still leaves nodata cells at -1
+    codes = {1.0: "B1", 2.0: "B2", -9999.0: "B1", 7.0: "A"}
+    names, index = sites_from_raster(grid, codes)
+    assert names == ["A", "B1", "B2"]
+    assert index.dtype == np.int8
+    assert index.tolist() == [2, 1, -1, -1, 0, 2]
+    for missing, smallest in (({1.0: "B1"}, "2"), ({7.0: "A"}, "1"), ({2.0: "B2"}, "1")):
+        with pytest.raises(DataError, match=f"^site raster value {smallest} has no site"):
+            sites_from_raster(grid, missing)
+
+
+def test_registration_error_names_the_raster_the_field_and_both_values():
+    def grid(**geometry):
+        fields = {"ncols": 3, "nrows": 2, "xll": 0.0, "yll": 0.0, "cellsize": 1.5, **geometry}
+        return RasterGrid(nodata=-9999.0, values=np.zeros((fields["nrows"], fields["ncols"])), **fields)
+
+    check_registration([])
+    check_registration([("a.asc", grid()), ("b.asc", grid())])
+    cases = [
+        ({"xll": 1210.0}, "xllcorner 1210 differs from 0"),
+        ({"yll": -0.25, "cellsize": 2.0}, "yllcorner -0.25 differs from 0"),
+        ({"cellsize": 2.0}, "cellsize 2 differs from 1.5"),
+        ({"ncols": 4}, "ncols 4 differs from 3"),
+    ]
+    for geometry, message in cases:
+        grids = [("a.asc", grid()), ("b.asc", grid()), ("c.asc", grid(**geometry))]
+        with pytest.raises(DataError, match=f"^raster c.asc: {message} in a.asc$"):
+            check_registration(grids)

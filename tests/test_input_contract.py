@@ -4,11 +4,12 @@ The error table runs the CLI, so each case checks the exit code and the one
 stderr line a user sees. The differential tests hold the streaming readers to
 the token-at-a-time references in ``_reference_readers``, on every case at the
 default chunk size and with chunks of a few tokens, so each case also crosses
-chunk boundaries. The memory tests bound the tracemalloc peak of a read by a
-multiple of the float64 arrays it returns (numpy reports its buffers to
-tracemalloc).
+chunk boundaries. The memory tests bound the tracemalloc peak of a read, and
+of a whole ``transfer``, by a multiple of the float64 arrays read (numpy
+reports its buffers to tracemalloc).
 """
 
+import csv
 import shutil
 import tracemalloc
 
@@ -266,8 +267,23 @@ def outcome(reader, path):
 def test_points_reader_matches_the_reference(case, chunk, tmp_path, monkeypatch):
     if chunk:
         monkeypatch.setattr(pointdata, "_CHUNK_TOKENS", chunk, raising=False)
+        monkeypatch.setattr(pointdata, "_COUNT_BYTES", 5, raising=False)
     path = write_text(tmp_path / "points.csv", POINT_CASES[case])
     assert outcome(read_points_csv, path) == outcome(reference.read_points_csv, path)
+
+
+@pytest.mark.parametrize("case", sorted(POINT_CASES))
+def test_the_record_bound_counts_each_line_end_once(case, tmp_path, monkeypatch):
+    # csv.reader ends a record at "\n", "\r\n" or a lone "\r"; the bound
+    # counts each such end once, also where a block boundary splits a "\r\n"
+    text = POINT_CASES[case]
+    path = write_text(tmp_path / "points.csv", text)
+    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    with open(path, newline="", encoding="utf-8") as handle:
+        records = sum(1 for _ in csv.reader(handle))
+    for block in (1, 2, 3, 7, 1 << 20):
+        monkeypatch.setattr(pointdata, "_COUNT_BYTES", block)
+        assert pointdata._max_records(path) == ends + 1 >= records
 
 
 GRID = grid_file_text(random_grid(nrows=4, ncols=5))
@@ -324,20 +340,20 @@ def test_grid_reader_matches_the_reference(case, chunk, tmp_path, monkeypatch):
 # --- memory --------------------------------------------------------------------
 
 
-def traced_peak(read, path):
-    """``read(path)`` and the tracemalloc peak of the call, in bytes."""
+def traced_peak(call, arg):
+    """``call(arg)`` and the tracemalloc peak of the call, in bytes."""
     tracemalloc.start()
     try:
-        result = read(path)
+        result = call(arg)
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_reading_points_peaks_within_three_times_the_arrays(tmp_path):
-    rng = np.random.default_rng(11)
-    n_rows, n_cov = 40_000, 10
-    data = PointDataset(
+def random_points(n_rows, n_cov, seed=11):
+    """A two-site dataset of ``n_rows`` rows over ``n_cov`` covariates."""
+    rng = np.random.default_rng(seed)
+    return PointDataset(
         site_ids=np.where(np.arange(n_rows) % 2 == 0, "B1", "B2"),
         x=rng.uniform(0, 1200, n_rows),
         y=rng.uniform(0, 900, n_rows),
@@ -345,13 +361,40 @@ def test_reading_points_peaks_within_three_times_the_arrays(tmp_path):
         covariate_names=[f"cov{j}" for j in range(n_cov)],
         covariate_values=rng.normal(size=(n_rows, n_cov)),
     )
+
+
+def test_reading_points_peaks_within_one_and_a_half_times_the_arrays(tmp_path):
+    n_rows, n_cov = 40_000, 10
     path = tmp_path / "target.csv"
-    write_points_csv(path, data)
-    del data
+    write_points_csv(path, random_points(n_rows, n_cov))
     back, peak = traced_peak(read_points_csv, path)
     arrays = sum(a.nbytes for a in (back.x, back.y, back.response, back.covariate_values))
     assert arrays == n_rows * (3 + n_cov) * 8
-    assert peak <= 3 * arrays, f"peak {peak / arrays:.2f}x the arrays"
+    assert peak <= 1.5 * arrays, f"peak {peak / arrays:.2f}x the arrays"
+
+
+def test_transfer_peaks_within_1_6_times_the_target_arrays(tmp_path):
+    # a study over the target's ten covariates, so its ensembles read them
+    n_rows, n_cov = 40_000, 10
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(
+        f"seed = 2\nn_site1 = 30\nn_site2 = 30\nn_covariates = {n_cov}\nncols = 8\n"
+        f"nrows = 6\noutput_dir = {tmp_path / 'study'}\n"
+    )
+    assert main(["synth", str(spec)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"points = {tmp_path / 'study' / 'points.csv'}\noutput_dir = {tmp_path / 'run'}\n"
+        "methods = m1-b1, m1-b2\nn_splits = 4\nmax_order = 2\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    target = tmp_path / "target.csv"
+    write_points_csv(target, random_points(n_rows, n_cov))
+    argv = ["transfer", str(tmp_path / "run"), str(target), "--output-dir", str(tmp_path / "out")]
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    arrays = n_rows * (3 + n_cov) * 8
+    assert peak <= 1.6 * arrays, f"peak {peak / arrays:.2f}x the target's arrays"
 
 
 def test_reading_a_grid_peaks_within_four_times_its_array(tmp_path):

@@ -124,7 +124,9 @@ def test_transfer_missing_covariate_errors(setup):
 
 def test_support_report_flags_disjoint_ranges():
     data = two_site_data(seed=9, shift=25.0)  # site A far outside site B on c0
-    report = covariate_support_report(data, [parse_term_id("c0"), parse_term_id("c1")])
+    report = covariate_support_report(
+        (data, "A"), (data, "B"), [parse_term_id("c0"), parse_term_id("c1")]
+    )
     by_key = {(r.term, r.site): r for r in report}
     assert by_key[("c0", "A")].outside_other_range
     assert by_key[("c0", "B")].outside_other_range
@@ -135,9 +137,17 @@ def test_support_report_flags_disjoint_ranges():
     assert row.minimum < row.q25 <= row.median <= row.q75 < row.maximum
 
 
+def test_support_report_needs_two_sites_with_rows():
+    data = two_site_data(seed=9)
+    terms = [parse_term_id("c0")]
+    for first, second in (("A", "A"), ("A", "nope")):
+        with pytest.raises(DataError, match="exactly two sites"):
+            covariate_support_report((data, first), (data, second), terms)
+
+
 def test_support_csv_and_comparison_csv(tmp_path):
     data = two_site_data(seed=11)
-    report = covariate_support_report(data, [parse_term_id("c0")])
+    report = covariate_support_report((data, "A"), (data, "B"), [parse_term_id("c0")])
     out = tmp_path / "support.csv"
     write_support_csv(out, report)
     text = out.read_text().splitlines()
@@ -163,7 +173,7 @@ def test_support_quartiles_equal_three_separate_quantile_calls():
     xy = np.arange(15.0)
     data = PointDataset(sites, xy, xy, rng.normal(size=15), ["c0", "c1"], values)
     terms = [parse_term_id(t) for t in ("c0", "c1", "c0^2", "c0:c1")]
-    report = covariate_support_report(data, terms)
+    report = covariate_support_report((data, "A"), (data, "B"), terms)
     got = [(r.q25, r.median, r.q75) for r in report]
     want = []
     for term in terms:

@@ -33,7 +33,7 @@ def test_ascii_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "layer.asc"
     write_ascii_grid(path, grid)
     back = read_ascii_grid(path)
-    assert back.same_grid(grid)
+    assert back.first_difference(grid) is None
     assert back.nodata == grid.nodata
     assert np.array_equal(back.values, grid.values)
     # writing again produces identical bytes
