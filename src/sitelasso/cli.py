@@ -24,9 +24,9 @@ from .errors import ConfigError, DataError, NumericalError, SiteLassoError
 from .features import write_removal_log
 from .gridpredict import (
     check_registration,
-    predict_raster,
-    predict_raster_two_stage,
+    prediction_rows,
     sites_from_raster,
+    two_stage_rows,
 )
 from .pipeline import (
     COMBINED,
@@ -42,7 +42,7 @@ from .pipeline import (
     write_support_csv,
 )
 from .pointdata import format_float, read_points_csv
-from .rasters import read_ascii_grid, write_ascii_grid
+from .rasters import read_ascii_grid, write_ascii_grid, write_ascii_rows
 from .splits import make_splits, plan_to_dict
 from .standardize import write_transform_csv
 from .synthetic import generate_synthetic
@@ -92,23 +92,23 @@ def _write_ensemble_files(run_dir, label, run, outputs_note):
     outputs_note.append(label)
 
 
-def _write_prediction_raster(run_dir, label, run, rasters, site_grid, site_codes):
+def _write_prediction_raster(run_dir, label, run, rasters, sites):
+    """Write a method's prediction raster a block of rows at a time.
+
+    ``sites`` is the site raster's ``(names, codes)``, or None without one.
+    """
     path = os.path.join(run_dir, f"prediction_{_tag(label)}.asc")
     if run.method == "m3":
-        if site_grid is None:
+        if sites is None:
             return f"{label}: needs site_raster"
-        grid = predict_raster_two_stage(
-            run.stage1.ensemble, run.stage2, rasters, site_grid, site_codes
-        )
+        grid, blocks = two_stage_rows(run.stage1.ensemble, run.stage2, rasters, sites)
     elif run.ensemble.needs_site_information():
-        if site_grid is None:
+        if sites is None:
             return f"{label}: needs site_raster"
-        grid = predict_raster(
-            run.ensemble, rasters, site_grid=site_grid, site_codes=site_codes
-        )
+        grid, blocks = prediction_rows(run.ensemble, rasters, sites=sites)
     else:
-        grid = predict_raster(run.ensemble, rasters)
-    write_ascii_grid(path, grid)
+        grid, blocks = prediction_rows(run.ensemble, rasters)
+    write_ascii_rows(path, grid, blocks)
     return None
 
 
@@ -123,24 +123,20 @@ def cmd_run(args):
 
     # Every raster fault ends the run here, before anything is fitted or
     # written, whether or not a requested method reads the faulty raster.
-    rasters = site_grid = None
+    # Of the site raster only its site names and int8 codes are kept.
+    rasters = pixel_sites = None
     grids = []
-    site_codes = dict(config.site_codes) or {1.0: sites[0], 2.0: sites[1]}
     if config.rasters_dir:
         grids = _read_rasters(config.rasters_dir)
         rasters = {os.path.splitext(os.path.basename(p))[0]: g for p, g in grids}
     if config.site_raster:
-        site_grid = read_ascii_grid(config.site_raster)
-        grids.append((config.site_raster, site_grid))
+        grids.append((config.site_raster, read_ascii_grid(config.site_raster)))
     check_registration(grids)
-    if site_grid is not None:
-        sites_from_raster(site_grid, site_codes)
+    if config.site_raster:
+        site_codes = dict(config.site_codes) or {1.0: sites[0], 2.0: sites[1]}
+        pixel_sites = sites_from_raster(grids.pop()[1], site_codes)
 
-    run_dir = config.output_dir
-    os.makedirs(run_dir, exist_ok=True)
-    shutil.copyfile(config.points, os.path.join(run_dir, "points.csv"))
-    artifacts.write_json(os.path.join(run_dir, "splits.json"), plan_to_dict(plan))
-
+    # expanding the terms rejects a non-finite covariate, also before writing
     designs = RunDesigns(
         data,
         threshold=config.correlation_threshold,
@@ -148,6 +144,12 @@ def cmd_run(args):
         max_order=config.max_order,
         filter_seed=config.seed,
     )
+
+    run_dir = config.output_dir
+    os.makedirs(run_dir, exist_ok=True)
+    shutil.copyfile(config.points, os.path.join(run_dir, "points.csv"))
+    artifacts.write_json(os.path.join(run_dir, "splits.json"), plan_to_dict(plan))
+
     site_by_label = {"m1-b1": sites[0], "m1-b2": sites[1]}
     requested = [m for m in METHOD_LABELS if m in config.methods]
 
@@ -202,9 +204,7 @@ def cmd_run(args):
     skipped = []
     if rasters is not None:
         for label, run in runs.items():
-            note = _write_prediction_raster(
-                run_dir, label, run, rasters, site_grid, site_codes
-            )
+            note = _write_prediction_raster(run_dir, label, run, rasters, pixel_sites)
             if note:
                 skipped.append(note)
     if skipped:

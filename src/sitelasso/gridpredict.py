@@ -7,9 +7,16 @@ only the active terms, from its own covariate values, with the same
 arithmetic as point prediction, so a pixel whose covariates equal a point's
 covariates gets exactly the point's prediction. No pixel-by-term design is
 built and no member is replayed, so the cost does not depend on the number
-of splits. Pixels are gathered and evaluated in fixed-size blocks, so memory
-does not grow with the number of covariates times the number of pixels.
-Sites come from the site raster as integer codes.
+of splits.
+
+Prediction runs a block of whole rows at a time (``pointdata.row_blocks``,
+about 4,096 cells), so it holds the covariate rasters plus one block's
+masks, gathered values and output, whatever the size of the grid.
+:func:`prediction_rows` and :func:`two_stage_rows` hand out the blocks as
+they are computed, and ``run`` writes each one to disk before the next;
+:func:`predict_raster` and :func:`predict_raster_two_stage` assemble the
+same blocks into a RasterGrid. Sites come from the site raster as int8
+codes (:func:`sites_from_raster`).
 
 Method 3's two-stage raster is stage 1 plus the stage-2 function of each
 pixel's own site; every output pixel is evaluated once per stage.
@@ -19,16 +26,21 @@ ensemble actually reads (unused rasters do not propagate nodata), plus the
 site raster's mask when the prediction is site-specific.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .ensemble import linear_form
+from .ensemble import LinearForm, linear_form
 from .errors import DataError
+from .pointdata import row_blocks
 
 __all__ = [
     "check_registration",
     "predict_raster",
     "predict_raster_two_stage",
+    "prediction_rows",
     "sites_from_raster",
+    "two_stage_rows",
 ]
 
 
@@ -93,39 +105,130 @@ def sites_from_raster(site_grid, site_codes):
     return names, codes
 
 
-def _nodata(form, rasters, npix):
-    """Flat mask of the pixels where a covariate the form reads has no data."""
-    bad = np.zeros(npix, dtype=bool)
+def _check_covariates(form, rasters):
     for name in form.covariates:
         if name not in rasters:
             raise DataError(f"missing covariate raster {name!r}")
-        bad |= rasters[name].nodata_mask().ravel()
-    return bad
+    return form
 
 
-# Pixels gathered and evaluated per block. On a 400x300 grid, an m4 form with 36
-# terms over 5 covariates evaluated in 0.070 s with a 7.1 MB tracemalloc peak
-# at this size, against 0.084 s and 14.1 MB with one block for all pixels;
-# 1,024-pixel blocks took 0.095 s, and 65,536-pixel blocks peaked at 10.5 MB.
-# On the benchmark's raster workload, `run` peaks at 53.6 MB RSS with blocks
-# and 59.2 MB without (8 of 8 alternating pairs).
-_BLOCK_PIXELS = 1 << 14
+class _Part(NamedTuple):
+    """One linear form of a prediction and the pixels it is evaluated at.
 
-
-def _evaluate(form, rasters, pixels, site_index):
-    """The form at the given flat pixels; site_index aligns with them.
-
-    Pixels are gathered and evaluated in fixed-size blocks, so only a block's
-    covariates and term values are held at once. ``LinearForm.predict``
-    computes each row on its own, so the blocks do not change the bits.
+    ``index`` holds, per site code, the form's site index for pixels of that
+    site, or -1 where the form is not evaluated; a last entry of -1 serves
+    code -1, a site-raster nodata cell. The first part of a prediction is
+    evaluated at every predicted pixel, and later parts add to it.
     """
-    flat = {name: rasters[name].values.ravel() for name in form.covariates}
-    out = np.empty(pixels.size)
-    for start in range(0, pixels.size, _BLOCK_PIXELS):
-        block = slice(start, start + _BLOCK_PIXELS)
-        cov = {name: values[pixels[block]] for name, values in flat.items()}
-        out[block] = form.predict_covariates(cov, site_index[block])
-    return out
+
+    form: LinearForm
+    index: np.ndarray
+
+
+def _part(form, index):
+    return _Part(form, np.array([*index, -1], dtype=np.intp))
+
+
+def _single(ensemble, rasters, site, sites):
+    """(codes, parts) of a one-stage prediction; see :func:`prediction_rows`."""
+    form = _check_covariates(linear_form(ensemble), rasters)
+    if site is not None and sites is not None:
+        raise DataError("give either a constant site or a site raster, not both")
+    if sites is not None:
+        names, codes = sites
+        return codes, [_part(form, form.site_index(names))]
+    if site is not None:
+        return None, [_part(form, form.site_index([site]))]
+    if form.sites:
+        raise DataError(
+            "this ensemble has site-scoped terms; pass site= or site_grid="
+        )
+    return None, [_part(form, [0])]
+
+
+def _two_stage(stage1_ensemble, stage2_by_site, rasters, sites):
+    """(codes, parts) of a two-stage prediction; see :func:`two_stage_rows`."""
+    names, codes = sites
+    stage1 = _check_covariates(linear_form(stage1_ensemble), rasters)
+    # the stage 2 of a site without pixels is never evaluated and needs no
+    # raster; the codes are searched in blocks, as the prediction reads them
+    stage2 = {
+        name: _check_covariates(linear_form(stage2_by_site[name]), rasters)
+        for code, name in enumerate(names)
+        if name in stage2_by_site
+        and any((codes[block] == code).any() for block in row_blocks(codes.size, 1))
+    }
+    first = [stage1.site_index([n])[0] if n in stage2 else -1 for n in names]
+    parts = [_part(stage1, first)]
+    for name, form in stage2.items():
+        own = [form.site_index([name])[0] if n == name else -1 for n in names]
+        parts.append(_part(form, own))
+    return codes, parts
+
+
+def _rows(grid, rasters, codes, parts):
+    """The prediction on ``grid``, one block of whole rows at a time.
+
+    ``codes`` holds a site code per flat pixel, or None for one site code 0
+    everywhere. For each block the covariates the parts read are sliced and
+    their nodata masks built; a pixel is predicted when the first part
+    applies at its site and no part that applies there misses a covariate.
+    ``LinearForm.predict`` computes each pixel on its own, so the blocks do
+    not change the bits.
+    """
+    names = sorted({name for part in parts for name in part.form.covariates})
+    if codes is not None:
+        codes = codes.reshape(grid.nrows, grid.ncols)
+    for rows in row_blocks(grid.nrows, grid.ncols):
+        values = {name: rasters[name].values[rows].ravel() for name in names}
+        missing = {name: rasters[name].nodata_mask(rows).ravel() for name in names}
+        size = grid.values[rows].size
+        code = np.zeros(size, dtype=np.int8) if codes is None else codes[rows].ravel()
+        index = [part.index[code] for part in parts]
+        predicted = index[0] >= 0
+        for part, where in zip(parts, index):
+            applies = where >= 0
+            for name in part.form.covariates:
+                predicted &= ~(applies & missing[name])
+        pixels = np.flatnonzero(predicted)
+        out = np.full(size, grid.nodata)
+        for k, (part, where) in enumerate(zip(parts, index)):
+            own = pixels if k == 0 else pixels[where[pixels] >= 0]
+            cov = {name: values[name][own] for name in part.form.covariates}
+            value = part.form.predict_covariates(cov, where[own])
+            if k == 0:
+                out[own] = value
+            else:
+                out[own] += value
+        yield out.reshape(-1, grid.ncols)
+
+
+def _assemble(grid, blocks):
+    out = np.empty((grid.nrows, grid.ncols))
+    for rows, block in zip(row_blocks(grid.nrows, grid.ncols), blocks):
+        out[rows] = block
+    return grid.with_values(out)
+
+
+def prediction_rows(ensemble, rasters, site=None, sites=None):
+    """:func:`predict_raster` as ``(grid, blocks)``, for writing as it comes.
+
+    ``grid`` is the output grid (its values are the first covariate raster's)
+    and ``blocks`` yields its rows in ``pointdata.row_blocks`` order. Sites
+    come from ``site`` or from ``sites``, the ``(names, codes)`` that
+    :func:`sites_from_raster` gives for a raster co-registered with
+    ``rasters``.
+    """
+    grid = _reference_grid(rasters, None)
+    return grid, _rows(grid, rasters, *_single(ensemble, rasters, site, sites))
+
+
+def two_stage_rows(stage1_ensemble, stage2_by_site, rasters, sites):
+    """:func:`predict_raster_two_stage` as ``(grid, blocks)``; see
+    :func:`prediction_rows`."""
+    grid = _reference_grid(rasters, None)
+    parts = _two_stage(stage1_ensemble, stage2_by_site, rasters, sites)
+    return grid, _rows(grid, rasters, *parts)
 
 
 def predict_raster(ensemble, rasters, site=None, site_grid=None, site_codes=None):
@@ -136,30 +239,9 @@ def predict_raster(ensemble, rasters, site=None, site_grid=None, site_codes=None
     either from ``site`` (one name for every pixel) or from ``site_grid`` +
     ``site_codes``; with a site raster, its nodata cells are nodata.
     """
-    ref = _reference_grid(rasters, site_grid)
-    form = linear_form(ensemble)
-    npix = ref.nrows * ref.ncols
-    bad = _nodata(form, rasters, npix)
-
-    if site is not None and site_grid is not None:
-        raise DataError("give either a constant site or a site raster, not both")
-    site_index = np.zeros(npix, dtype=np.intp)
-    if site is not None:
-        site_index[:] = form.site_index([site])[0]
-    elif site_grid is not None:
-        names, codes = sites_from_raster(site_grid, site_codes)
-        bad |= codes < 0
-        # code -1 picks the last name's index, but those cells are bad
-        site_index = form.site_index(names)[codes]
-    elif form.sites:
-        raise DataError(
-            "this ensemble has site-scoped terms; pass site= or site_grid="
-        )
-
-    valid = np.flatnonzero(~bad)
-    out = np.full(npix, ref.nodata)
-    out[valid] = _evaluate(form, rasters, valid, site_index[valid])
-    return ref.with_values(out.reshape(ref.nrows, ref.ncols))
+    grid = _reference_grid(rasters, site_grid)
+    sites = None if site_grid is None else sites_from_raster(site_grid, site_codes)
+    return _assemble(grid, _rows(grid, rasters, *_single(ensemble, rasters, site, sites)))
 
 
 def predict_raster_two_stage(
@@ -171,20 +253,7 @@ def predict_raster_two_stage(
     Pixels whose site is unknown (site-raster nodata) or has no stage 2 are
     nodata, as are pixels missing a covariate either stage reads.
     """
-    ref = _reference_grid(rasters, site_grid)
-    names, codes = sites_from_raster(site_grid, site_codes)
-    stage1 = linear_form(stage1_ensemble)
-    valid = np.flatnonzero(~((codes < 0) | _nodata(stage1, rasters, codes.size)))
-    out = np.full(codes.size, ref.nodata)
-    for code, name in enumerate(names):
-        own = valid[codes[valid] == code]
-        if name not in stage2_by_site or own.size == 0:
-            continue
-        stage2 = linear_form(stage2_by_site[name])
-        own = own[~_nodata(stage2, rasters, codes.size)[own]]
-        index1 = np.full(own.size, stage1.site_index([name])[0])
-        index2 = np.full(own.size, stage2.site_index([name])[0])
-        out[own] = _evaluate(stage1, rasters, own, index1) + _evaluate(
-            stage2, rasters, own, index2
-        )
-    return ref.with_values(out.reshape(ref.nrows, ref.ncols))
+    grid = _reference_grid(rasters, site_grid)
+    sites = sites_from_raster(site_grid, site_codes)
+    parts = _two_stage(stage1_ensemble, stage2_by_site, rasters, sites)
+    return _assemble(grid, _rows(grid, rasters, *parts))

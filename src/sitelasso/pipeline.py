@@ -16,6 +16,7 @@ columns are always a subset of method 4's.
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,6 +289,34 @@ class SupportRow:
     outside_other_range: bool
 
 
+def _quartiles(values):
+    """``np.quantile(values, (0.25, 0.5, 0.75)).tolist()``, bit for bit.
+
+    numpy's default linear rule, restated because ``np.quantile`` sorts its
+    partition indices with ``np.unique``, which imports ``numpy.ma`` (about
+    1.3 MB of RSS). A copy of ``values`` is partitioned at the indices numpy
+    passes, in numpy's order, so ties and signed zeros land where they do
+    there; a nan sorts last and then stands for every quartile, and each
+    quartile interpolates its two neighbours as numpy's ``_lerp`` does.
+    """
+    arr = np.array(values, dtype=np.float64)
+    last = arr.size - 1
+    bounds = []
+    for q in (0.25, 0.5, 0.75):
+        virtual = last * q
+        below = -1 if virtual >= last else math.floor(virtual)
+        bounds.append((virtual, below, -1 if below == -1 else below + 1))
+    arr.partition(sorted({0, -1, *(b for _, b, _ in bounds), *(a for _, _, a in bounds)}))
+    if math.isnan(arr[-1]):
+        return [float(arr[-1])] * 3
+    out = []
+    for virtual, below, above in bounds:
+        a, b, t = float(arr[below]), float(arr[above]), virtual - below
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 def covariate_support_report(first, second, terms):
     """Per-site spread of each term's values after pooled standardization.
 
@@ -332,7 +361,7 @@ def covariate_support_report(first, second, terms):
             values /= norm
         stats = {}
         for site, v in ((site_a, values[:n_a]), (site_b, values[n_a:])):
-            q25, med, q75 = np.quantile(v, (0.25, 0.5, 0.75)).tolist()
+            q25, med, q75 = _quartiles(v)
             stats[site] = (float(v.min()), q25, med, q75, float(v.max()))
         for site, other in sorted([(site_a, site_b), (site_b, site_a)]):
             lo, q25, med, q75, hi = stats[site]

@@ -69,9 +69,10 @@ class RasterGrid:
                 return key, value, expected
         return None
 
-    def nodata_mask(self):
-        """Boolean (nrows, ncols) array flagging missing cells."""
-        return (self.values == self.nodata) | np.isnan(self.values)
+    def nodata_mask(self, rows=slice(None)):
+        """Boolean array flagging the missing cells of ``values[rows]``."""
+        values = self.values[rows]
+        return (values == self.nodata) | np.isnan(values)
 
     def with_values(self, values):
         return RasterGrid(
@@ -85,10 +86,13 @@ class RasterGrid:
         )
 
 
-def write_ascii_grid(path, grid):
-    """Write a grid in the plain-text header + row-major layout.
+def write_ascii_rows(path, grid, blocks):
+    """Write ``grid``'s header, then ``blocks`` of whole rows as they come.
 
-    The cells are printed by ``format_rows`` a block of rows at a time.
+    Only the header fields of ``grid`` are read. ``blocks`` yields 2-d arrays
+    of ``grid.ncols`` columns that together hold its ``nrows`` rows in order;
+    each is printed by ``format_rows`` and written before the next is asked
+    for, so a writer's producer may build the cells a block at a time.
     """
     header = (
         f"ncols {grid.ncols}\n"
@@ -100,8 +104,17 @@ def write_ascii_grid(path, grid):
     )
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii"))
-        for rows in row_blocks(grid.nrows, grid.ncols):
-            handle.write(format_rows(grid.values[rows], " "))
+        for block in blocks:
+            handle.write(format_rows(block, " "))
+
+
+def write_ascii_grid(path, grid):
+    """Write a grid in the plain-text header + row-major layout.
+
+    The cells are printed by ``format_rows`` a block of rows at a time.
+    """
+    rows = row_blocks(grid.nrows, grid.ncols)
+    write_ascii_rows(path, grid, (grid.values[r] for r in rows))
 
 
 # Characters of data lines converted per np.array call. A 400x300 grid (2.4 MB

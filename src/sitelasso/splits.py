@@ -89,6 +89,9 @@ def make_splits(data, quotas, n_splits=500, seed=0):
                 f"site {site}: only {distinct} distinct training sets of size "
                 f"{quota} from {rows.size} rows, cannot build {n_splits} splits"
             )
+        # free[r] is False while row r is in the drawn training set; rows are
+        # sorted and unique, so rows[free[rows]] is np.setdiff1d(rows, pick)
+        free = np.ones(data.n_rows, dtype=bool)
         seen = set()
         train_sets = []
         valid_sets = []
@@ -106,7 +109,9 @@ def make_splits(data, quotas, n_splits=500, seed=0):
                 continue
             seen.add(key)
             train_sets.append(pick)
-            valid_sets.append(np.setdiff1d(rows, pick))
+            free[pick] = False
+            valid_sets.append(rows[free[rows]])
+            free[pick] = True
         site_plans[site] = SitePlan(site, quota, train_sets, valid_sets)
     return SplitPlan(seed=seed, n_splits=n_splits, site_plans=site_plans)
 

@@ -394,6 +394,88 @@ def test_site_raster_faults_end_with_one_line_and_exit_code_3(
     assert not (tmp_path / "run").exists()
 
 
+def _edit_lines(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+def _malformed_token(data):
+    def edit(lines):
+        lines[8] = lines[8].replace(" ", " x7 ", 1)
+        return lines
+
+    _edit_lines(data / "rasters" / "cov1.asc", edit)
+
+
+def _four_b1_points(data):
+    # 4 B1 rows train on 3: only 4 distinct training sets for 8 splits
+    def edit(lines):
+        b1 = [line for line in lines[1:] if line.startswith("B1,")]
+        return [lines[0], *b1[:4], *(line for line in lines[1:] if line.startswith("B2,"))]
+
+    _edit_lines(data / "points.csv", edit)
+
+
+def _nan_covariate(data):
+    def edit(lines):
+        cells = lines[6].split(",")  # data row 5
+        assert lines[0].split(",")[6] == "cov2"
+        cells[6] = "nan"
+        lines[6] = ",".join(cells)
+        return lines
+
+    _edit_lines(data / "points.csv", edit)
+
+
+@pytest.mark.parametrize(
+    "fault, code, culprit",
+    [
+        (_malformed_token, 3, "rasters/cov1.asc has a malformed value"),
+        (_four_b1_points, 2, "site B1: only 4 distinct training sets of size 3 from 4 rows"),
+        (_nan_covariate, 3, "covariate 'cov2' has a non-finite value at row 5"),
+    ],
+    ids=["malformed_asc", "too_few_distinct_splits", "non_finite_covariate"],
+)
+def test_input_faults_end_before_the_run_directory(
+    quickstart_data, tmp_path, capsys, fault, code, culprit
+):
+    data = tmp_path / "data"
+    shutil.copytree(quickstart_data, data)
+    fault(data)
+    cfg = quickstart_config(
+        tmp_path, "run_quickstart.cfg", points=data / "points.csv",
+        output_dir=tmp_path / "run", methods="m4", n_splits=8,
+        rasters_dir=data / "rasters", site_raster=data / "site.asc",
+    )
+    assert main(["run", cfg]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert culprit in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_and_transfer_do_not_load_numpy_ma(workspace, tmp_path):
+    # numpy.ma costs about 1.3 MB of RSS; np.setdiff1d and np.quantile load
+    # it through np.unique
+    code = (
+        "import sys; from sitelasso.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    run_dir = tmp_path / "run"
+    commands = [
+        ["run", str(workspace["cfg"]), "--output-dir", str(run_dir)],
+        ["transfer", str(run_dir), str(workspace["synth"] / "points.csv"),
+         "--output-dir", str(tmp_path / "transfer")],
+    ]
+    for args in commands:
+        out = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=package_env(), capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "0 False", args
+    assert (tmp_path / "transfer" / "support_report.csv").exists()
+
+
 def test_quickstart_paths_end_without_a_degenerate_stop(quickstart_data, tmp_path):
     # With an absolute stopping tolerance, four of the quickstart's m4 paths
     # stepped on past the least-squares fit into rank-deficient geometry and

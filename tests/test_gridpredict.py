@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sitelasso.ensemble import Ensemble
+from sitelasso.ensemble import Ensemble, linear_form
 from sitelasso.errors import DataError
 from sitelasso.gridpredict import (
     check_registration,
     predict_raster,
     predict_raster_two_stage,
+    prediction_rows,
     sites_from_raster,
+    two_stage_rows,
 )
 from sitelasso.models import SelectedModel
 from sitelasso.pipeline import RunDesigns, run_method1, run_method2, run_method3, run_method4
-from sitelasso.rasters import RasterGrid
+from sitelasso.rasters import RasterGrid, write_ascii_grid, write_ascii_rows
 from sitelasso.splits import make_splits
 from sitelasso.standardize import StandardizationTransform
 from sitelasso.synthetic import SyntheticSpec, default_fields, generate_synthetic
@@ -283,3 +287,98 @@ def test_registration_error_names_the_raster_the_field_and_both_values():
         grids = [("a.asc", grid()), ("b.asc", grid()), ("c.asc", grid(**geometry))]
         with pytest.raises(DataError, match=f"^raster c.asc: {message} in a.asc$"):
             check_registration(grids)
+
+
+CODES = {1.0: "B1", 2.0: "B2"}
+
+
+@pytest.fixture(scope="module")
+def streamed_setup():
+    """A 120x90 study (three row blocks) with nodata in a covariate every
+    method reads and in the site raster's gap, and its m2, m3 and m4 runs."""
+    data, rasters, site_grid, truth = synth_setup(ncols=120, nrows=90)
+    designs = RunDesigns(data)
+    plan = small_plan(data, n_splits=5)
+    runs = {
+        "m2": run_method2(designs, plan, workers=1),
+        "m3": run_method3(designs, plan, workers=1),
+        "m4": run_method4(designs, plan, workers=1),
+    }
+    assert runs["m4"].ensemble.needs_site_information()
+    for name in ("cov0", "cov1"):
+        rasters[name].values[[5, 40, 89], [0, 60, 119]] = rasters[name].nodata
+    assert site_grid.nodata_mask().any()
+    return rasters, site_grid, runs
+
+
+def _whole_grid(form, rasters, pixels, site_index):
+    """The form at the given flat pixels, in one evaluation over all of them."""
+    cov = {name: rasters[name].values.ravel()[pixels] for name in form.covariates}
+    return form.predict_covariates(cov, site_index)
+
+
+@pytest.mark.parametrize("method", ["m2", "m3", "m4"])
+def test_streamed_raster_equals_the_written_assembled_raster(streamed_setup, method, tmp_path):
+    rasters, site_grid, runs = streamed_setup
+    run = runs[method]
+    sites = sites_from_raster(site_grid, CODES)
+    if method == "m3":
+        grid = predict_raster_two_stage(run.stage1.ensemble, run.stage2, rasters, site_grid, CODES)
+        header, blocks = two_stage_rows(run.stage1.ensemble, run.stage2, rasters, sites)
+    elif method == "m4":
+        grid = predict_raster(run.ensemble, rasters, site_grid=site_grid, site_codes=CODES)
+        header, blocks = prediction_rows(run.ensemble, rasters, sites=sites)
+    else:
+        grid = predict_raster(run.ensemble, rasters)
+        header, blocks = prediction_rows(run.ensemble, rasters)
+    write_ascii_grid(tmp_path / "assembled.asc", grid)
+    write_ascii_rows(tmp_path / "streamed.asc", header, blocks)
+    assert (tmp_path / "streamed.asc").read_bytes() == (tmp_path / "assembled.asc").read_bytes()
+
+    # the row blocks give the bits of one evaluation over every valid pixel
+    flat = grid.values.ravel()
+    valid = np.flatnonzero(~grid.nodata_mask().ravel())
+    assert 0 < valid.size < flat.size
+    names, codes = sites
+    if method == "m3":
+        stage1 = linear_form(run.stage1.ensemble)
+        want = np.empty(valid.size)
+        for code, name in enumerate(names):
+            own = codes[valid] == code
+            stage2 = linear_form(run.stage2[name])
+            want[own] = _whole_grid(
+                stage1, rasters, valid[own], np.full(own.sum(), stage1.site_index([name])[0])
+            ) + _whole_grid(
+                stage2, rasters, valid[own], np.full(own.sum(), stage2.site_index([name])[0])
+            )
+    else:
+        form = linear_form(run.ensemble)
+        index = form.site_index(names)[codes[valid]] if method == "m4" else np.zeros(valid.size, dtype=np.intp)
+        want = _whole_grid(form, rasters, valid, index)
+    assert flat[valid].tobytes() == want.tobytes()
+
+
+def _stream_peak(path, run, n_rows):
+    """tracemalloc peak of streaming m3's raster of an n_rows x 1000 grid to disk."""
+    rng = np.random.default_rng(3)
+    rasters = {
+        name: RasterGrid(1000, n_rows, 0.0, 0.0, 1.0, -9999.0, rng.normal(size=(n_rows, 1000)))
+        for name in ("cov0", "cov1", "cov2")
+    }
+    codes = np.repeat(np.array([0, 1, -1], dtype=np.int8), [n_rows * 400, n_rows * 500, n_rows * 100])
+    tracemalloc.start()
+    try:
+        grid, blocks = two_stage_rows(run.stage1.ensemble, run.stage2, rasters, (["B1", "B2"], codes))
+        write_ascii_rows(path, grid, blocks)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_prediction_memory_does_not_grow_with_the_grid(streamed_setup, tmp_path):
+    run = streamed_setup[2]["m3"]
+    write_ascii_grid(tmp_path / "first.asc", RasterGrid(1, 1, 0.0, 0.0, 1.0, -9999.0, np.ones((1, 1))))
+    small = _stream_peak(tmp_path / "small.asc", run, 250)
+    large = _stream_peak(tmp_path / "large.asc", run, 1000)
+    assert large < 3e6  # the 1000x1000 output alone is 8 MB of float64
+    assert large < 1.2 * small

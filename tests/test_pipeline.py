@@ -7,6 +7,7 @@ from sitelasso.errors import DataError
 from sitelasso.pipeline import (
     COMBINED,
     RunDesigns,
+    _quartiles,
     covariate_support_report,
     evaluate_transfer,
     run_method1,
@@ -184,3 +185,26 @@ def test_support_quartiles_equal_three_separate_quantile_calls():
             v = z[data.site_mask(site)]
             want.append(tuple(float(np.quantile(v, q)) for q in (0.25, 0.5, 0.75)))
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_quartiles_match_numpy_quantile_bit_for_bit():
+    # 4,200 arrays of 1 to 1,000 values: plain normals, a pool of signed zeros,
+    # ties, infinities and nan, magnitudes near 1e+-300, and ties of +-0 and +-1
+    rng = np.random.default_rng(12)
+    pool = np.array(
+        [0.0, -0.0, 1.0, -1.0, 2.5, 2.5, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 5e-324]
+    )
+    for k in range(4200):
+        n = int(rng.integers(1, 1001))
+        kind = k % 4
+        if kind == 0:
+            values = rng.normal(size=n)
+        elif kind == 1:
+            values = rng.choice(pool, size=n)
+        elif kind == 2:
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)
+        else:
+            values = rng.choice(pool[:4], size=n)
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(values, (0.25, 0.5, 0.75))
+        assert np.array(_quartiles(values)).tobytes() == want.tobytes(), (k, n)
