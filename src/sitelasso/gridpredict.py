@@ -123,10 +123,11 @@ class _Part(NamedTuple):
 
     form: LinearForm
     index: np.ndarray
+    covariates: list  # the form's, computed once
 
 
 def _part(form, index):
-    return _Part(form, np.array([*index, -1], dtype=np.intp))
+    return _Part(form, np.array([*index, -1], dtype=np.intp), form.covariates)
 
 
 def _single(ensemble, rasters, site, sites):
@@ -176,7 +177,7 @@ def _rows(grid, rasters, codes, parts):
     ``LinearForm.predict`` computes each pixel on its own, so the blocks do
     not change the bits.
     """
-    names = sorted({name for part in parts for name in part.form.covariates})
+    names = sorted({name for part in parts for name in part.covariates})
     if codes is not None:
         codes = codes.reshape(grid.nrows, grid.ncols)
     for rows in row_blocks(grid.nrows, grid.ncols):
@@ -188,13 +189,13 @@ def _rows(grid, rasters, codes, parts):
         predicted = index[0] >= 0
         for part, where in zip(parts, index):
             applies = where >= 0
-            for name in part.form.covariates:
+            for name in part.covariates:
                 predicted &= ~(applies & missing[name])
         pixels = np.flatnonzero(predicted)
         out = np.full(size, grid.nodata)
         for k, (part, where) in enumerate(zip(parts, index)):
             own = pixels if k == 0 else pixels[where[pixels] >= 0]
-            cov = {name: values[name][own] for name in part.form.covariates}
+            cov = {name: values[name][own] for name in part.covariates}
             value = part.form.predict_covariates(cov, where[own])
             if k == 0:
                 out[own] = value

@@ -169,7 +169,11 @@ _PRINT_CELLS = 1 << 12
 
 
 def row_blocks(n_rows, n_cols):
-    """Slices of whole rows, about ``_PRINT_CELLS`` cells each, for printing."""
+    """Slices of whole rows, about ``_PRINT_CELLS`` cells each.
+
+    Grids are printed in these blocks, and prediction rasters are also
+    computed in them, so each block is written as soon as it is predicted.
+    """
     step = max(1, _PRINT_CELLS // n_cols)
     for start in range(0, n_rows, step):
         yield slice(start, start + step)
