@@ -90,7 +90,8 @@ def make_splits(data, quotas, n_splits=500, seed=0):
                 f"{quota} from {rows.size} rows, cannot build {n_splits} splits"
             )
         # free[r] is False while row r is in the drawn training set; rows are
-        # sorted and unique, so rows[free[rows]] is np.setdiff1d(rows, pick)
+        # sorted and unique, so rows[free[rows]] is np.setdiff1d(rows, pick),
+        # without the np.unique call that imports numpy.ma (about 1.3 MB)
         free = np.ones(data.n_rows, dtype=bool)
         seen = set()
         train_sets = []
