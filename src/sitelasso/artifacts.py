@@ -5,7 +5,6 @@ artifact reproduces the ensemble bit-for-bit — including the content-hashed
 transform ids that transfer evaluation verifies.
 """
 
-import hashlib
 import json
 import os
 
@@ -128,6 +127,12 @@ _HASH_BYTES = 1 << 16
 
 
 def sha256_file(path):
+    # hashlib is imported here, not at module level: it loads OpenSSL (3.4-3.7
+    # MB of RSS), and only run, synth and verify_manifest hash files. Files
+    # stay on OpenSSL's SHA-256, which hashes about 1.2 GB/s against about 0.2
+    # GB/s for CPython's built-in _sha256, and a raster set-up hashes 31 MB.
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(_HASH_BYTES), b""):

@@ -10,6 +10,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .features import MAX_RANK
 
 ENV_OUTPUT_DIR = "SITELASSO_OUTPUT_DIR"
 
@@ -114,8 +115,8 @@ class RunConfig:
         if self.site_raster and not os.path.exists(self.site_raster):
             raise ConfigError(f"site_raster not found: {self.site_raster}")
         for cov, rank in self.hierarchy.items():
-            if rank < 1:
-                raise ConfigError(f"hierarchy rank for {cov!r} must be >= 1")
+            if not 1 <= rank <= MAX_RANK:
+                raise ConfigError(f"hierarchy rank for {cov!r} must be 1..{MAX_RANK}")
         return self
 
     def echo(self):

@@ -14,7 +14,6 @@ same columns silently, with a log entry.
 """
 
 import csv
-import hashlib
 import logging
 from dataclasses import dataclass
 
@@ -23,6 +22,15 @@ import numpy as np
 from .errors import DataError
 from .pointdata import format_float
 from .terms import RawDesign, parse_term_id
+
+# transform_id hashes a few short lines per transform, so it takes CPython's
+# built-in SHA-1: importing hashlib loads OpenSSL, 3.4-3.7 MB of RSS in every
+# `transfer` process (the stdlib's random.py avoids hashlib for _sha512 in the
+# same way). The digest is the same.
+try:
+    from _sha1 import sha1
+except ImportError:  # a Python build without the built-in module
+    from hashlib import sha1
 
 log = logging.getLogger(__name__)
 
@@ -77,9 +85,13 @@ class StandardizationTransform:
 
     @property
     def transform_id(self):
-        """Deterministic content hash; equal content gives an equal id."""
+        """Deterministic content hash; equal content gives an equal id.
+
+        The SHA-1 of one line per column, from the built-in module imported
+        above, so that computing it loads no OpenSSL.
+        """
         if self._id is None:
-            digest = hashlib.sha1()
+            digest = sha1()
             for term, m, s, d in zip(self.terms, self.means, self.norms, self.dropped):
                 digest.update(
                     f"{term.term_id}|{m!r}|{s!r}|{int(d)}\n".encode("utf-8")

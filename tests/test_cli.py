@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import os
 import re
 import shutil
@@ -315,6 +316,41 @@ def test_exit_code_3_for_transfer_without_artifacts(tmp_path, workspace, capsys)
     assert "no method-1 ensemble" in capsys.readouterr().err
 
 
+def test_a_bad_transform_ref_ends_transfer_before_its_output_directory(
+    workspace, tmp_path, capsys
+):
+    # b1's artifact is sound; b2's was the one that failed, after b1's support
+    # report had already been written into the new directory
+    run = tmp_path / "run"
+    shutil.copytree(workspace["run"], run)
+    artifact = run / "ensemble_m1_b2.json"
+    payload = artifacts.read_json(artifact)
+    payload["models"][1]["transform_ref"] = "xf-0000000000000000"
+    artifacts.write_json(artifact, payload)
+    out = tmp_path / "transfer"
+    target = workspace["synth"] / "points.csv"
+    assert main(["transfer", str(run), str(target), "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert f"{artifact}: " in err[0]
+    assert "references transform xf-0000000000000000" in err[0]
+    assert not out.exists()
+
+
+def test_transform_ids_are_sha1_digests_of_the_transform_lines(workspace):
+    # the built-in SHA-1 that transform_id uses gives hashlib's digest
+    paths = sorted(workspace["run"].glob("ensemble_*.json"))
+    assert len(paths) >= 5
+    for path in paths:
+        ens = artifacts.ensemble_from_dict(artifacts.read_json(path))
+        for model, xf in zip(ens.models, ens.transforms):
+            digest = hashlib.sha1()
+            for term, m, s, d in zip(xf.terms, xf.means, xf.norms, xf.dropped):
+                digest.update(f"{term.term_id}|{m!r}|{s!r}|{int(d)}\n".encode())
+            assert xf.transform_id == "xf-" + digest.hexdigest()[:16]
+            assert model.transform_ref == xf.transform_id
+
+
 def test_error_to_exit_code_mapping():
     mapping = dict((err, code) for err, code in _EXIT_BY_ERROR)
     assert mapping[ConfigError] == 2
@@ -341,8 +377,11 @@ def package_env():
 
 def test_importing_the_cli_loads_no_process_pool():
     # the pool is imported only when a fit asks for more than one worker, and
-    # the coordinate-descent oracle and its compile switch left the package
-    unwanted = ["concurrent.futures", "sitelasso.cd", "sitelasso._accel"]
+    # the coordinate-descent oracle and its compile switch left the package,
+    # and hashlib loads OpenSSL (3.4-3.7 MB of RSS) only to hash files
+    unwanted = [
+        "concurrent.futures", "sitelasso.cd", "sitelasso._accel", "hashlib", "_hashlib",
+    ]
     code = f"import sys, sitelasso.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True, check=True
@@ -427,14 +466,35 @@ def _nan_covariate(data):
     _edit_lines(data / "points.csv", edit)
 
 
+def _constant_covariates(data):
+    # a fully collinear design: every term filters out as constant
+    def edit(lines):
+        header = lines[0].rstrip("\n").split(",")
+        covs = [j for j, name in enumerate(header) if name.startswith("cov")]
+        rows = []
+        for line in lines[1:]:
+            cells = line.rstrip("\n").split(",")
+            for j in covs:
+                cells[j] = "1.5"
+            rows.append(",".join(cells) + "\n")
+        return [lines[0], *rows]
+
+    _edit_lines(data / "points.csv", edit)
+
+
 @pytest.mark.parametrize(
     "fault, code, culprit",
     [
         (_malformed_token, 3, "rasters/cov1.asc has a malformed value"),
         (_four_b1_points, 2, "site B1: only 4 distinct training sets of size 3 from 4 rows"),
-        (_nan_covariate, 3, "covariate 'cov2' has a non-finite value at row 5"),
+        (_nan_covariate, 3, "points.csv: covariate 'cov2' has a non-finite value at row 5"),
+        (_constant_covariates, 3,
+         "points.csv: empty design after filtering: every column is constant"),
     ],
-    ids=["malformed_asc", "too_few_distinct_splits", "non_finite_covariate"],
+    ids=[
+        "malformed_asc", "too_few_distinct_splits", "non_finite_covariate",
+        "constant_covariates",
+    ],
 )
 def test_input_faults_end_before_the_run_directory(
     quickstart_data, tmp_path, capsys, fault, code, culprit
@@ -456,23 +516,25 @@ def test_input_faults_end_before_the_run_directory(
 
 def test_run_and_transfer_do_not_load_numpy_ma(workspace, tmp_path):
     # numpy.ma costs about 1.3 MB of RSS; np.setdiff1d and np.quantile load
-    # it through np.unique
+    # it through np.unique. transfer also leaves OpenSSL unloaded (3.4-3.7 MB);
+    # run hashes its outputs, and numpy.random loads it anyway.
     code = (
         "import sys; from sitelasso.cli import main; rc = main(sys.argv[1:]); "
-        "print(rc, 'numpy.ma' in sys.modules)"
+        "print(rc, [m for m in ('numpy.ma', 'hashlib', '_hashlib') if m in sys.modules])"
     )
     run_dir = tmp_path / "run"
     commands = [
-        ["run", str(workspace["cfg"]), "--output-dir", str(run_dir)],
-        ["transfer", str(run_dir), str(workspace["synth"] / "points.csv"),
-         "--output-dir", str(tmp_path / "transfer")],
+        (["run", str(workspace["cfg"]), "--output-dir", str(run_dir)],
+         "0 ['hashlib', '_hashlib']"),
+        (["transfer", str(run_dir), str(workspace["synth"] / "points.csv"),
+          "--output-dir", str(tmp_path / "transfer")], "0 []"),
     ]
-    for args in commands:
+    for args, expected in commands:
         out = subprocess.run(
             [sys.executable, "-c", code, *args],
             env=package_env(), capture_output=True, text=True, check=True,
         )
-        assert out.stdout.splitlines()[-1] == "0 False", args
+        assert out.stdout.splitlines()[-1] == expected, args
     assert (tmp_path / "transfer" / "support_report.csv").exists()
 
 

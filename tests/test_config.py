@@ -101,6 +101,17 @@ class TestRunConfig:
         assert config.site_codes == {1.0: "B1", 2.0: "B2"}
         assert config.hierarchy == {"cov0": 1, "cov1": 2}
 
+    def test_hierarchy_ranks_outside_1_to_10_are_config_errors(self, tmp_path, points_file):
+        # a rank of 11 used to pass here and fail in the collinearity filter
+        # as a data error, after the run directory was made
+        for rank in (0, 11):
+            cfg = write_cfg(
+                tmp_path,
+                f"points = {points_file}\noutput_dir = {tmp_path}\nhierarchy = cov0:{rank}\n",
+            )
+            with pytest.raises(ConfigError, match=r"hierarchy rank for 'cov0' must be 1\.\.10"):
+                load_run_config(cfg)
+
     def test_malformed_site_codes(self, tmp_path, points_file):
         cfg = write_cfg(
             tmp_path,
