@@ -140,9 +140,10 @@ def cmd_run(args):
     # row set the requested methods train on rejects a design that filters to
     # nothing, also before writing. The filtered designs are kept for the
     # fits, and each filter seeds its own generator, so no output depends on
-    # the order. Filtered in the methods' order (sites first), the designs
-    # raised the peak RSS of `run` on pipebench's wide workload by 0.15 MB;
-    # in reverse order (every row first) they do not.
+    # the order. Every row is filtered first: the order moves only where the
+    # allocator places the designs, and in the methods' order (sites first)
+    # the peak RSS of `run` on pipebench's wide workload read higher in 3 of
+    # 4 directory layouts measured.
     site_by_label = {"m1-b1": sites[0], "m1-b2": sites[1]}
     requested = [m for m in METHOD_LABELS if m in config.methods]
     try:
