@@ -33,7 +33,7 @@ from .features import (
     term_rank,
 )
 from .gridpredict import predict_raster, predict_raster_two_stage
-from .lars import LassoPath, PathKnot, lar_lasso_path
+from .lars import LassoPath, lar_lasso_path
 from .models import FitMetrics, SelectedModel, fit_metrics
 from .pipeline import (
     MethodRun,
@@ -70,7 +70,6 @@ __all__ = [
     "LassoPath",
     "MethodRun",
     "NumericalError",
-    "PathKnot",
     "PointDataset",
     "RasterGrid",
     "RawDesign",

@@ -90,10 +90,13 @@ def ensemble_from_dict(payload):
         models.append(model)
     if len(models) != len(transforms):
         raise DataError("ensemble artifact has mismatched model/transform counts")
+    weights = np.asarray(payload["weights"], dtype=np.float64)
+    if weights.shape != (len(models),):
+        raise DataError("ensemble artifact has mismatched weight/model counts")
     return Ensemble(
         models=models,
         transforms=transforms,
-        weights=np.asarray(payload["weights"], dtype=np.float64),
+        weights=weights,
         terms=terms,
         split_plan_ref=str(payload["split_plan_ref"]),
         validation_errors=[

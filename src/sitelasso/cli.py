@@ -270,12 +270,22 @@ def cmd_synth(args):
 
 
 def _load_m1_ensemble(path):
-    """(source site, Ensemble) of one method-1 artifact; its payload is dropped."""
-    payload = artifacts.read_json(path)
+    """(source site, Ensemble) of one method-1 artifact; its payload is dropped.
+
+    Any fault in the file, malformed JSON included, is one DataError naming it.
+    """
     try:
+        payload = artifacts.read_json(path)
+        if not isinstance(payload, dict):
+            raise DataError("not a JSON object")
         ens = artifacts.ensemble_from_dict(payload)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{path}: ensemble artifact has no key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise DataError(f"{path}: malformed ensemble artifact ({exc})") from None
     name = os.path.splitext(os.path.basename(path))[0]
     return payload.get("site") or name.replace("ensemble_m1_", ""), ens
 

@@ -87,8 +87,8 @@ def select_knot(path, X_valid, y_valid):
         raise DataError("validation matrix columns do not match the fitted path")
     scorer = _KnotScorer(X_valid.values[None], y_valid[None], np.array([path.intercept]))
     first = np.zeros(1, dtype=np.intp)
-    for k, knot in enumerate(path.knots):
-        scorer(first, np.array([knot.lam]), path.coef_vector(k)[None])
+    for lam, coefs in zip(path.lambdas, path.coefs):
+        scorer(first, lam[None], coefs[None])
     model = scorer.model(0, path.column_ids, X_valid.transform_ref)
     return model, scorer.resid[0]
 

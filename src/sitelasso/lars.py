@@ -20,7 +20,7 @@ Behaviour pinned by contract:
   knot (sets degenerate_stop) — the knots already emitted are valid
   solutions, and aborting a long cross-validation run because one training
   subset turned singular helps nobody
-- termination: max residual correlation below corr_tol * max |x_j . y|
+- termination: max residual correlation below CORR_TOL * max |x_j . y|
   (relative to the path's own scale, so a path that has reached the
   least-squares fit stops there instead of stepping on through rounding
   noise), active set at min(n_rows - 1, n_cols), or a step cap of
@@ -42,7 +42,7 @@ Gram is built from the columns), stacked over the paths that share an
 active size. Every reduction, product and solve runs over one path's own
 row, with shapes that depend only on that path, so a path's bits do not
 depend on which other paths share its batch. :func:`lar_lasso_path` is a
-batch of one that keeps every knot.
+batch of one that keeps every knot, as dense ``(lambdas, coefs)`` arrays.
 """
 
 import logging
@@ -55,7 +55,7 @@ from .standardize import StandardizedMatrix, check_standardized
 
 log = logging.getLogger(__name__)
 
-DEFAULT_CORR_TOL = 1e-12  # relative to the path's max |x_j . y|
+CORR_TOL = 1e-12  # residual correlation treated as zero, relative to max |x_j . y|
 _TIE_RTOL = 1e-12
 _GAMMA_EPS_RTOL = 1e-12
 
@@ -93,7 +93,7 @@ def shrink_rows(arr, keep):
 class _Lockstep:
     """State of the live paths of one batch, one row per path."""
 
-    def __init__(self, grams, xty, max_active, max_steps, corr_tol):
+    def __init__(self, grams, xty, max_active, max_steps):
         n_paths, p = xty.shape
         self.ids = np.arange(n_paths)  # batch index of each live row
         self.G = grams
@@ -101,7 +101,7 @@ class _Lockstep:
         self.max_active = np.asarray(max_active, dtype=np.intp)
         self.max_steps = np.asarray(max_steps, dtype=np.intp)
         self.biggest = np.abs(self.c).max(axis=1)
-        self.tol = corr_tol * self.biggest
+        self.tol = CORR_TOL * self.biggest
         self.beta = np.zeros((n_paths, p))
         self.in_active = np.zeros((n_paths, p), dtype=np.bool_)
         # an active column's correlation keeps its sign while it stays active
@@ -227,7 +227,7 @@ class _Lockstep:
             rows, gone = rows[more], gone[more]
 
 
-def lockstep_paths(grams, xty, max_active, max_steps, on_knots, corr_tol=DEFAULT_CORR_TOL):
+def lockstep_paths(grams, xty, max_active, max_steps, on_knots):
     """Trace S lasso paths in lockstep from their covariance-form inputs.
 
     Parameters
@@ -247,16 +247,13 @@ def lockstep_paths(grams, xty, max_active, max_steps, on_knots, corr_tol=DEFAULT
         ascending order, their lambdas and their (len(paths), p) coefficient
         rows. Knot 0 comes first for every path. The rows are the solver's
         own state: copy what you keep.
-    corr_tol : float
-        Residual-correlation level treated as zero, relative to each path's
-        max |X'y|.
 
     Returns
     -------
     (status, n_knots, last_lambda), one entry per path; feed each to
     :func:`path_flags`.
     """
-    state = _Lockstep(grams, xty, max_active, max_steps, corr_tol)
+    state = _Lockstep(grams, xty, max_active, max_steps)
     on_knots(state.ids, state.lam, state.beta)
     state.retire(state.biggest <= 0.0, _OK)
     steps = 0
@@ -373,124 +370,70 @@ def path_flags(status, n_knots, last_lambda):
     return status == _STEP_CAP, status == _DEGENERATE
 
 
-@dataclass(frozen=True)
-class PathKnot:
-    """One breakpoint of the lasso path."""
-
-    lam: float
-    active: np.ndarray  # column indices with non-zero coefficients
-    coefs: np.ndarray  # values aligned with ``active``
-
-    @property
-    def subset_size(self):
-        return len(self.active)
-
-
 @dataclass
 class LassoPath:
     """Full piecewise-linear lasso path plus the carried intercept."""
 
-    knots: list
+    lambdas: np.ndarray  # (K,) knot lambdas, decreasing
+    coefs: np.ndarray  # (K, p) coefficients at each knot
     intercept: float
     column_ids: list
-    n_rows: int
-    n_cols: int
     max_steps_reached: bool = False
     degenerate_stop: bool = False  # ended early on singular active-set geometry
 
-    def __len__(self):
-        return len(self.knots)
 
-    def coef_vector(self, knot_index):
-        """Dense coefficient vector at one knot."""
-        full = np.zeros(self.n_cols)
-        knot = self.knots[knot_index]
-        full[knot.active] = knot.coefs
-        return full
-
-
-def _as_matrix(X):
-    if isinstance(X, StandardizedMatrix):
-        return X.values, X.column_ids
-    arr = np.asarray(X, dtype=np.float64)
-    return arr, [f"x{j}" for j in range(arr.shape[1])]
-
-
-def lar_lasso_path(
-    X,
-    y_centered,
-    intercept=0.0,
-    corr_tol=DEFAULT_CORR_TOL,
-    max_steps=None,
-    validate=True,
-):
+def lar_lasso_path(X, y_centered, intercept=0.0, max_steps=None):
     """Trace the lasso path of standardized X against centred y.
 
     Parameters
     ----------
     X : StandardizedMatrix or (n, p) array
-        Columns with mean 0 and unit L2 norm (checked when ``validate``).
-    y_centered : (n,) array with mean 0.
+        Columns with mean 0 and unit L2 norm (checked).
+    y_centered : (n,) array with mean 0 (checked).
     intercept : float
         Training response mean, stored on the path for prediction.
-    corr_tol : float
-        Residual-correlation level treated as zero, relative to max |X'y|.
     max_steps : int, optional
         Step cap; defaults to 8 * min(n, p).
-    validate : bool
-        Check standardization and centring preconditions.
 
     Returns
     -------
     LassoPath
     """
-    values, column_ids = _as_matrix(X)
+    named = isinstance(X, StandardizedMatrix)
+    values = np.asarray(X.values if named else X, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] == 0:
         raise DataError("X must be a 2-d matrix with at least one column")
     n, p = values.shape
+    column_ids = X.column_ids if named else [f"x{j}" for j in range(p)]
     if n < 2:
         raise DataError("the path solver needs at least two rows")
     y = np.ascontiguousarray(y_centered, dtype=np.float64)
     if y.shape != (n,):
         raise DataError("y length does not match X")
-    if validate:
-        if not np.isfinite(y).all():
-            raise DataError("non-finite response values")
-        scale = max(1.0, float(np.max(np.abs(y))))
-        if abs(float(y.mean())) > 1e-8 * scale:
-            raise DataError(f"response is not centred (mean {y.mean():.3e})")
-        check_standardized(StandardizedMatrix(values, _IdTerms(column_ids), ""))
+    if not np.isfinite(y).all():
+        raise DataError("non-finite response values")
+    scale = max(1.0, float(np.max(np.abs(y))))
+    if abs(float(y.mean())) > 1e-8 * scale:
+        raise DataError(f"response is not centred (mean {y.mean():.3e})")
+    check_standardized(values, column_ids)
     if max_steps is None:
         max_steps = 8 * min(n, p)
     gram, xty = gram_system(values, y)
-    knots = []
+    lambdas, coefs = [], []
 
-    def keep(paths, lam, coefs):
-        nz = np.flatnonzero(coefs[0])
-        knots.append(PathKnot(float(lam[0]), nz, coefs[0, nz]))
+    def keep(paths, lam, beta):
+        lambdas.append(lam[0])
+        coefs.append(beta[0].copy())
 
     status, n_knots, last_lambda = lockstep_paths(
-        gram[None], xty[None], [min(n - 1, p)], [max_steps], keep, float(corr_tol)
+        gram[None], xty[None], [min(n - 1, p)], [max_steps], keep
     )
     max_steps_reached, degenerate_stop = path_flags(status[0], n_knots[0], last_lambda[0])
     return LassoPath(
-        knots=knots,
+        lambdas=np.array(lambdas),
+        coefs=np.array(coefs),
         intercept=float(intercept),
         column_ids=list(column_ids),
-        n_rows=n,
-        n_cols=p,
         max_steps_reached=max_steps_reached,
         degenerate_stop=degenerate_stop,
     )
-
-
-class _IdTerms(list):
-    """Adapter giving bare arrays the term interface check_standardized wants."""
-
-    def __init__(self, ids):
-        super().__init__(_FakeTerm(i) for i in ids)
-
-
-@dataclass(frozen=True)
-class _FakeTerm:
-    term_id: str

@@ -20,7 +20,7 @@ size of the arrays it returns. Errors still name the file and the line.
 import csv
 import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

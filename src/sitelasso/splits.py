@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 MAX_ATTEMPTS = 1_000_000
 
@@ -131,19 +131,3 @@ def plan_to_dict(plan):
             for site, sp in plan.site_plans.items()
         },
     }
-
-
-def plan_from_dict(payload):
-    site_plans = {}
-    for site, body in payload["sites"].items():
-        site_plans[site] = SitePlan(
-            site,
-            int(body["quota"]),
-            [np.asarray(a, dtype=np.intp) for a in body["train"]],
-            [np.asarray(a, dtype=np.intp) for a in body["validation"]],
-        )
-    return SplitPlan(
-        seed=int(payload["seed"]),
-        n_splits=int(payload["n_splits"]),
-        site_plans=site_plans,
-    )

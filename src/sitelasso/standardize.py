@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DataError
 from .pointdata import format_float
-from .terms import RawDesign, parse_term_id
 
 # transform_id hashes a few short lines per transform, so it takes CPython's
 # built-in SHA-1: importing hashlib loads OpenSSL, 3.4-3.7 MB of RSS in every
@@ -217,19 +216,17 @@ def apply_transform(design, transform):
     return StandardizedMatrix(out, transform.retained_terms, transform.transform_id)
 
 
-def check_standardized(matrix):
-    """Validate StandardizedMatrix invariants, naming the first offender.
+def check_standardized(values, column_ids):
+    """Validate standardized columns, naming the first offender by its id.
 
     Every column must be finite, not all zero, with mean 0 (absolute
     tolerance 1e-10) and L2 norm 1 (tolerance 1e-10). Site-scoped columns
     pass the same check because their zeros contribute nothing.
     """
-    X = matrix.values
-    if X.ndim != 2:
-        raise DataError("standardized values must be 2-d")
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        cid = matrix.terms[j].term_id if j < len(matrix.terms) else str(j)
+    if values.ndim != 2 or values.shape[1] != len(column_ids):
+        raise DataError("standardized values must be 2-d, with one id per column")
+    for j, cid in enumerate(column_ids):
+        col = values[:, j]
         if not np.isfinite(col).all():
             raise DataError(f"column {cid} has non-finite entries")
         if not np.any(col != 0.0):
@@ -253,22 +250,3 @@ def write_transform_csv(path, transform):
             transform.terms, transform.means, transform.norms, transform.dropped
         ):
             writer.writerow([term.term_id, format_float(m), format_float(s), int(d)])
-
-
-def read_transform_csv(path, n_training_rows=0):
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != TRANSFORM_CSV_HEADER:
-            raise DataError(f"{path}: unexpected transform header {header}")
-        terms, means, norms, dropped = [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            terms.append(parse_term_id(row[0]))
-            means.append(float(row[1]))
-            norms.append(float(row[2]))
-            dropped.append(bool(int(row[3])))
-    return StandardizationTransform(
-        terms, np.array(means), np.array(norms), np.array(dropped), n_training_rows
-    )

@@ -23,7 +23,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 from _cd_oracle import cd_lasso, kkt_residuals, lasso_objective
 
 from sitelasso.errors import NumericalError
@@ -166,9 +165,7 @@ def test_criterion_01_path_matches_coordinate_descent_oracle():
         X, y = standardized_instance(seed, n, p)
         path = lar_lasso_path(X, y)
         warm = np.zeros(p)
-        for k in range(len(path)):
-            lam = path.knots[k].lam
-            beta = path.coef_vector(k)
+        for k, (lam, beta) in enumerate(zip(path.lambdas, path.coefs)):
             try:
                 warm = cd_lasso(X, y, lam, beta_init=warm, max_sweeps=_CD_HANDOVER)
                 by_cd += 1
@@ -226,7 +223,7 @@ def test_criterion_03_site_blocks_keep_structural_zeros_bitwise():
 
     matrix, transform = fit_transform(wide)
     assert not transform.dropped.any()
-    check_standardized(matrix)
+    check_standardized(matrix.values, matrix.column_ids)
     position = {t.term_id: k for k, t in enumerate(matrix.terms)}
     for scope in ("A", "B"):
         other = wide.row_sites != scope

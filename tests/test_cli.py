@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -320,21 +321,34 @@ def test_a_bad_transform_ref_ends_transfer_before_its_output_directory(
     workspace, tmp_path, capsys
 ):
     # b1's artifact is sound; b2's was the one that failed, after b1's support
-    # report had already been written into the new directory
+    # report had already been written into the new directory. A truncated
+    # artifact and one without weights failed with a traceback and exit code 1.
     run = tmp_path / "run"
     shutil.copytree(workspace["run"], run)
     artifact = run / "ensemble_m1_b2.json"
-    payload = artifacts.read_json(artifact)
-    payload["models"][1]["transform_ref"] = "xf-0000000000000000"
-    artifacts.write_json(artifact, payload)
-    out = tmp_path / "transfer"
+    sound = artifact.read_bytes()
+    bad_ref = json.loads(sound)
+    bad_ref["models"][1]["transform_ref"] = "xf-0000000000000000"
+    no_weights = json.loads(sound)
+    del no_weights["weights"]
+    short_weights = json.loads(sound)
+    short_weights["weights"] = short_weights["weights"][1:]
+    faults = [
+        (json.dumps(bad_ref), "references transform xf-0000000000000000"),
+        (sound[: len(sound) // 2].decode(), "malformed ensemble artifact"),
+        (json.dumps(no_weights), "has no key 'weights'"),
+        (json.dumps(short_weights), "mismatched weight/model counts"),
+    ]
     target = workspace["synth"] / "points.csv"
-    assert main(["transfer", str(run), str(target), "--output-dir", str(out)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1, err
-    assert f"{artifact}: " in err[0]
-    assert "references transform xf-0000000000000000" in err[0]
-    assert not out.exists()
+    for content, message in faults:
+        artifact.write_text(content, encoding="utf-8")
+        out = tmp_path / "transfer"
+        assert main(["transfer", str(run), str(target), "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert f"{artifact}: " in err[0]
+        assert message in err[0]
+        assert not out.exists()
 
 
 def test_transform_ids_are_sha1_digests_of_the_transform_lines(workspace):

@@ -17,11 +17,11 @@ from sitelasso.ensemble import (
 )
 from sitelasso.errors import DataError
 from sitelasso.features import assemble_site_blocks, expand_terms
-from sitelasso.lars import LassoPath, PathKnot, lar_lasso_path
+from sitelasso.lars import LassoPath, lar_lasso_path
 from sitelasso.pointdata import PointDataset
 from sitelasso.splits import make_splits
 from sitelasso.standardize import StandardizedMatrix, apply_transform, fit_transform
-from sitelasso.terms import RawDesign, TermSpec
+from sitelasso.terms import TermSpec
 
 
 def toy_matrix(values, ref="xf-t"):
@@ -47,32 +47,27 @@ def test_select_knot_brute_force_agreement():
     model, resid = select_knot(path, X_valid, y_valid)
     # brute force over dense knot vectors
     sses = []
-    for k in range(len(path)):
-        pred = path.intercept + X_valid.values @ path.coef_vector(k)
+    for beta in path.coefs:
+        pred = path.intercept + X_valid.values @ beta
         sses.append(float(((y_valid - pred) ** 2).sum()))
     assert model.validation_sse == pytest.approx(min(sses), abs=1e-12)
     winners = [k for k, s in enumerate(sses) if s == min(sses)]
-    assert model.subset_size == min(path.knots[k].subset_size for k in winners)
-    assert np.allclose(resid, y_valid - (path.intercept + X_valid.values @ path.coef_vector(winners[0])))
+    assert model.subset_size == min(np.count_nonzero(path.coefs[k]) for k in winners)
+    assert np.allclose(resid, y_valid - (path.intercept + X_valid.values @ path.coefs[winners[0]]))
 
 
 def test_select_knot_tie_prefers_smaller_subset():
     # two knots with identical predictions on a crafted validation set
-    knots = [
-        PathKnot(2.0, np.array([], dtype=int), np.array([])),
-        PathKnot(1.0, np.array([0, 1], dtype=int), np.array([0.0, 0.0])),
-    ]
-    # coefficients of knot 1 are zero so both predict the intercept
-    knots[1] = PathKnot(1.0, np.array([0, 1], dtype=int), np.array([1.0, -1.0]))
+    coefs = np.array([[0.0, 0.0], [1.0, -1.0]])
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # coef (1,-1) cancels
-    path = LassoPath(knots, 0.7, ["c0", "c1"], 3, 2)
+    path = LassoPath(np.array([2.0, 1.0]), coefs, 0.7, ["c0", "c1"])
     model, _ = select_knot(path, toy_matrix(X), np.array([0.7, 0.7, 0.7]))
     assert model.subset_size == 0
     assert model.coef == {}
 
 
 def test_intercept_only_knot_predicts_training_mean():
-    path = LassoPath([PathKnot(0.0, np.array([], dtype=int), np.array([]))], 5.5, ["c0"], 4, 1)
+    path = LassoPath(np.array([0.0]), np.zeros((1, 1)), 5.5, ["c0"])
     model, resid = select_knot(path, toy_matrix(np.zeros((3, 1))), np.array([5.5, 6.5, 4.5]))
     assert model.intercept == 5.5
     assert np.allclose(resid, [0.0, 1.0, -1.0])
@@ -212,7 +207,7 @@ def test_knot_chosen_during_the_pass_equals_select_knot(site_blocks):
         assert not transform.dropped.any()  # the pass pads dropped columns
         y_train = data.response[train]
         ybar = float(y_train.mean())
-        path = lar_lasso_path(X_train, y_train - ybar, intercept=ybar, validate=False)
+        path = lar_lasso_path(X_train, y_train - ybar, intercept=ybar)
         X_valid = apply_transform(design.subset_rows(valid), transform)
         expected, expected_resid = select_knot(path, X_valid, data.response[valid])
         assert model == expected

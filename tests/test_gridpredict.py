@@ -14,7 +14,7 @@ from sitelasso.gridpredict import (
     two_stage_rows,
 )
 from sitelasso.models import SelectedModel
-from sitelasso.pipeline import RunDesigns, run_method1, run_method2, run_method3, run_method4
+from sitelasso.pipeline import RunDesigns, run_method2, run_method3, run_method4
 from sitelasso.rasters import RasterGrid, write_ascii_grid, write_ascii_rows
 from sitelasso.splits import make_splits
 from sitelasso.standardize import StandardizationTransform

@@ -1,0 +1,39 @@
+"""Every module-level import in the package is read by its module.
+
+The test dependencies ship no linter, so each module is parsed with ``ast``.
+A name bound by a module-level import, in a ``try`` block too, must appear
+as a name somewhere in the module's code; a docstring mention does not count.
+Both branches of a guarded fallback bind the same name, so one use covers both.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sitelasso"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def module_imports(tree):
+    """(bound name, line) of each import at module level."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Try):
+            pending.extend(node.body + node.orelse + node.finalbody)
+            for handler in node.handlers:
+                pending.extend(handler.body)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(
+        f"{name} (line {line})" for name, line in module_imports(tree) if name not in used
+    )
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -33,20 +33,19 @@ def test_single_column_two_knots():
     x = unit_column(0, 12)
     c = 1.7
     path = lar_lasso_path(x[:, None], c * x)
-    assert len(path) == 2
-    assert path.knots[0].lam == pytest.approx(2 * c, abs=1e-12)
-    assert path.knots[0].subset_size == 0
-    assert abs(path.knots[1].lam) <= 1e-12
-    assert path.knots[1].subset_size == 1
-    assert path.knots[1].coefs[0] == pytest.approx(c, abs=1e-12)
+    assert path.coefs.shape == (2, 1)
+    assert path.lambdas[0] == pytest.approx(2 * c, abs=1e-12)
+    assert path.coefs[0, 0] == 0.0
+    assert abs(path.lambdas[1]) <= 1e-12
+    assert path.coefs[1, 0] == pytest.approx(c, abs=1e-12)
 
 
 def test_zero_response_single_empty_knot():
     x = unit_column(1, 10)
     path = lar_lasso_path(x[:, None], np.zeros(10))
-    assert len(path) == 1
-    assert path.knots[0].lam == 0.0
-    assert path.knots[0].subset_size == 0
+    assert path.coefs.shape == (1, 1)
+    assert path.lambdas[0] == 0.0
+    assert path.coefs[0, 0] == 0.0
 
 
 def test_duplicate_columns_raise():
@@ -67,7 +66,7 @@ def test_mid_path_degeneracy_truncates_instead_of_aborting(monkeypatch):
     real = lars_mod.lockstep_paths
 
     def degenerate_after(n_keep):
-        def stub(grams, xty, max_active, max_steps, on_knots, corr_tol):
+        def stub(grams, xty, max_active, max_steps, on_knots):
             seen = []
 
             def first_knots(paths, lambdas, coefs):
@@ -75,7 +74,7 @@ def test_mid_path_degeneracy_truncates_instead_of_aborting(monkeypatch):
                 if len(seen) <= n_keep:
                     on_knots(paths, lambdas, coefs)
 
-            real(grams, xty, max_active, max_steps, first_knots, corr_tol)
+            real(grams, xty, max_active, max_steps, first_knots)
             return (
                 np.array([lars_mod._DEGENERATE]),
                 np.array([min(n_keep, len(seen))]),
@@ -88,8 +87,8 @@ def test_mid_path_degeneracy_truncates_instead_of_aborting(monkeypatch):
     path = lar_lasso_path(X, y)
     assert path.degenerate_stop
     assert not path.max_steps_reached
-    assert len(path) == 2
-    assert path.knots[1].lam < path.knots[0].lam
+    assert len(path.lambdas) == 2
+    assert path.lambdas[1] < path.lambdas[0]
 
     monkeypatch.setattr(lars_mod, "lockstep_paths", degenerate_after(1))
     with pytest.raises(CollinearTermsError, match="degenerate"):
@@ -114,16 +113,15 @@ def test_first_knot_empty_lambdas_decrease():
         n = 10 + seed
         X, y = standardized_instance(seed, n, 2 + 3 * seed)
         path = lar_lasso_path(X, y)
-        assert path.knots[0].subset_size == 0
-        lams = [k.lam for k in path.knots]
+        assert not path.coefs[0].any()
+        lams = path.lambdas
         assert all(b < a for a, b in zip(lams, lams[1:]))
         assert lams[0] == pytest.approx(2 * np.abs(X.T @ y).max(), rel=1e-12)
 
 
 def kkt_ok_at_every_knot(X, y, path, tol=1e-8):
-    for k in range(len(path)):
-        beta = path.coef_vector(k)
-        act, inact = kkt_residuals(X, y, beta, path.knots[k].lam)
+    for k, (lam, beta) in enumerate(zip(path.lambdas, path.coefs)):
+        act, inact = kkt_residuals(X, y, beta, lam)
         assert act <= tol, f"knot {k}: active violation {act}"
         assert inact <= tol, f"knot {k}: inactive violation {inact}"
 
@@ -146,18 +144,16 @@ def test_agrees_with_coordinate_descent(seed):
     X, y = standardized_instance(seed + 2000, n, p)
     path = lar_lasso_path(X, y)
     warm = np.zeros(p)
-    for k in range(len(path)):
-        lam = path.knots[k].lam
+    for k, (lam, beta) in enumerate(zip(path.lambdas, path.coefs)):
         warm = cd_lasso(X, y, lam, beta_init=warm)
-        assert np.allclose(path.coef_vector(k), warm, atol=1e-7), f"knot {k}"
+        assert np.allclose(beta, warm, atol=1e-7), f"knot {k}"
 
 
 def test_wide_problem_respects_active_cap():
     X, y = standardized_instance(77, 12, 300)
     path = lar_lasso_path(X, y)
-    for knot in path.knots:
-        assert knot.subset_size <= 11
-        assert np.isfinite(knot.coefs).all()
+    assert np.count_nonzero(path.coefs, axis=1).max() <= 11
+    assert np.isfinite(path.coefs).all()
 
 
 def test_sign_drops_occur_and_stay_consistent():
@@ -167,16 +163,16 @@ def test_sign_drops_occur_and_stay_consistent():
     for seed in range(60):
         X, y = standardized_instance(seed + 7, 25, 12)
         path = lar_lasso_path(X, y)
-        sets = [set(k.active.tolist()) for k in path.knots]
+        sets = [set(np.flatnonzero(beta).tolist()) for beta in path.coefs]
         for prev, cur, idx in zip(sets, sets[1:], range(1, len(sets))):
             gone = prev - cur
             if gone:
                 found = True
-                lam = path.knots[idx].lam
+                lam = path.lambdas[idx]
                 oracle = cd_lasso(X, y, lam)
-                assert np.allclose(path.coef_vector(idx), oracle, atol=1e-7)
+                assert np.allclose(path.coefs[idx], oracle, atol=1e-7)
                 for j in gone:
-                    assert path.coef_vector(idx)[j] == 0.0
+                    assert path.coefs[idx, j] == 0.0
         if found:
             break
     assert found, "no sign drop in 60 seeded instances; tie tolerances suspect"
@@ -187,10 +183,10 @@ def test_exact_tie_enters_together():
     x2 = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
     y = x1 + x2
     path = lar_lasso_path(np.column_stack([x1, x2]), y)
-    assert len(path) == 2
-    assert path.knots[0].lam == pytest.approx(2.0)
-    assert set(path.knots[1].active.tolist()) == {0, 1}
-    assert np.allclose(path.knots[1].coefs, [1.0, 1.0], atol=1e-12)
+    assert len(path.lambdas) == 2
+    assert path.lambdas[0] == pytest.approx(2.0)
+    assert path.coefs[1].all()
+    assert np.allclose(path.coefs[1], [1.0, 1.0], atol=1e-12)
 
 
 def test_intercept_is_carried():
@@ -206,12 +202,12 @@ def test_sign_drops_under_a_binding_step_cap_keep_every_knot_optimal():
     X, y = standardized_instance(188, 40, 60)
     path = lar_lasso_path(X, y, max_steps=80)
     assert path.max_steps_reached
-    assert len(path) == 81
-    sets = [set(k.active.tolist()) for k in path.knots]
+    assert len(path.lambdas) == 81
+    sets = [set(np.flatnonzero(beta).tolist()) for beta in path.coefs]
     assert sum(bool(prev - cur) for prev, cur in zip(sets, sets[1:])) >= 10
-    lams = [k.lam for k in path.knots]
+    lams = path.lambdas
     assert all(b < a for a, b in zip(lams, lams[1:]))
-    assert max(k.subset_size for k in path.knots) <= min(40 - 1, 60)
+    assert np.count_nonzero(path.coefs, axis=1).max() <= min(40 - 1, 60)
     kkt_ok_at_every_knot(X, y, path)
 
 
@@ -231,7 +227,7 @@ def test_ties_beyond_the_free_slots_admit_the_lowest_indices():
     corr = np.abs(X.T @ y)
     assert np.ptp(corr[1:]) <= 1e-14 * corr.max() and corr[0] < corr[1]
     path = lar_lasso_path(X, y)
-    assert path.knots[1].active.tolist() == [1, 2, 3, 4]
+    assert np.flatnonzero(path.coefs[1]).tolist() == [1, 2, 3, 4]
 
 
 def tied_instance(seed):
@@ -284,11 +280,21 @@ def test_kernel_reproduces_the_scalar_loop_bit_for_bit(X, y, max_steps):
     lambdas, coefs, n_knots, status = gram_steps_loop(G, xty, 1e-12, min(n - 1, p), max_steps)
     knots = []
     ends = lockstep_paths(G[None], xty[None], [min(n - 1, p)], [max_steps],
-                          lambda paths, lam, beta: knots.append((lam[0], beta[0].copy())), 1e-12)
+                          lambda paths, lam, beta: knots.append((lam[0], beta[0].copy())))
     assert (int(ends[0][0]), int(ends[1][0])) == (status, n_knots) == (status, len(knots))
     assert ends[2][0] == lambdas[n_knots - 1]
     assert np.array_equal([lam for lam, _ in knots], lambdas[:n_knots])
     assert np.array_equal([beta for _, beta in knots], coefs[:n_knots])
+    # lar_lasso_path keeps the same rows, wherever its path is not refused
+    try:
+        path_flags(status, n_knots, lambdas[n_knots - 1])
+    except CollinearTermsError:
+        with pytest.raises(CollinearTermsError):
+            lar_lasso_path(X, y, max_steps=max_steps)
+        return
+    path = lar_lasso_path(X, y, max_steps=max_steps)
+    assert np.array_equal(path.lambdas, lambdas[:n_knots])
+    assert np.array_equal(path.coefs, coefs[:n_knots])
 
 
 @pytest.mark.parametrize("X, y, max_steps", LOOP_CASES)
@@ -316,7 +322,7 @@ def test_kernel_matches_the_scalar_loop_before_the_ill_conditioned_tail(X, y, ma
         assert np.abs(beta - coefs[k]).max() <= 1e-9
     if tail == n_knots:
         path = lar_lasso_path(X, y, max_steps=max_steps)
-        assert len(path) == n_knots
+        assert len(path.lambdas) == n_knots
         assert (path.max_steps_reached, path.degenerate_stop) == (status == 1, status == 3)
 
 

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from _spec_route import predict
 
+from sitelasso.artifacts import write_json
 from sitelasso.errors import ConfigError, DataError, NumericalError, TransformMismatchError
 from sitelasso.models import SelectedModel, fit_metrics
 from sitelasso.pointdata import PointDataset
-from sitelasso.splits import make_splits, plan_from_dict, plan_to_dict
+from sitelasso.splits import make_splits, plan_to_dict
 from sitelasso.standardize import StandardizedMatrix
 from sitelasso.terms import TermSpec
 
@@ -129,11 +132,18 @@ def test_split_feasibility_bound():
         make_splits(data, {"A": 2}, n_splits=2)
 
 
-def test_plan_round_trips_through_dict():
+def test_plan_round_trips_through_dict(tmp_path):
+    # splits.json is an output only: the written JSON must hold the plan exactly
     data = two_site_points()
     plan = make_splits(data, {"A": 5, "B": 4}, n_splits=8, seed=2)
-    back = plan_from_dict(plan_to_dict(plan))
-    assert back.seed == plan.seed and back.n_splits == plan.n_splits
-    for site in ("A", "B"):
-        for a, b in zip(back.site_plans[site].train, plan.site_plans[site].train):
-            assert np.array_equal(a, b)
+    path = tmp_path / "splits.json"
+    write_json(path, plan_to_dict(plan))
+    with open(path, encoding="utf-8") as handle:
+        back = json.load(handle)
+    assert (back["seed"], back["n_splits"]) == (plan.seed, plan.n_splits)
+    assert sorted(back["sites"]) == plan.sites
+    for site, sp in plan.site_plans.items():
+        body = back["sites"][site]
+        assert body["quota"] == sp.quota
+        assert body["train"] == [arr.tolist() for arr in sp.train]
+        assert body["validation"] == [arr.tolist() for arr in sp.validation]

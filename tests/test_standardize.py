@@ -1,3 +1,4 @@
+import csv
 import logging
 
 import numpy as np
@@ -8,7 +9,6 @@ from sitelasso.standardize import (
     apply_transform,
     check_standardized,
     fit_transform,
-    read_transform_csv,
     write_transform_csv,
 )
 from sitelasso.terms import RawDesign, TermSpec
@@ -41,7 +41,7 @@ def blocked_design(seed, n_a=7, n_b=6):
 
 def test_fit_output_satisfies_invariants():
     matrix, transform = fit_transform(global_design(0, 30, 6))
-    check_standardized(matrix)
+    check_standardized(matrix.values, matrix.column_ids)
     assert matrix.transform_ref == transform.transform_id
     means = matrix.values.mean(axis=0)
     norms = np.sqrt((matrix.values**2).sum(axis=0))
@@ -52,7 +52,7 @@ def test_fit_output_satisfies_invariants():
 def test_site_columns_use_matching_rows_only():
     design = blocked_design(1)
     matrix, transform = fit_transform(design)
-    check_standardized(matrix)
+    check_standardized(matrix.values, matrix.column_ids)
     a_mask = design.row_sites == "A"
     col_a = matrix.values[:, 1]
     # other-site rows bitwise zero
@@ -115,16 +115,19 @@ def test_column_mismatch_is_reported():
 
 
 def test_transform_csv_round_trip(tmp_path):
+    # transforms_*_v1.csv is an output only: each written value must parse
+    # back to the transform's exact float
     design = blocked_design(6)
     _, transform = fit_transform(design)
     path = tmp_path / "transform_v1.csv"
     write_transform_csv(path, transform)
-    back = read_transform_csv(path)
-    assert back.transform_id == transform.transform_id
-    assert [t.term_id for t in back.terms] == [t.term_id for t in transform.terms]
-    assert np.array_equal(back.means, transform.means)
-    assert np.array_equal(back.norms, transform.norms)
-    assert np.array_equal(back.dropped, transform.dropped)
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["column_id", "mean", "norm", "dropped"]
+    assert [row[0] for row in rows] == [t.term_id for t in transform.terms]
+    assert np.array_equal([float(row[1]) for row in rows], transform.means)
+    assert np.array_equal([float(row[2]) for row in rows], transform.norms)
+    assert np.array_equal([bool(int(row[3])) for row in rows], transform.dropped)
 
 
 def test_check_standardized_names_offender():
@@ -132,4 +135,4 @@ def test_check_standardized_names_offender():
     matrix, _ = fit_transform(design)
     matrix.values[:, 1] *= 2.0
     with pytest.raises(DataError, match="c1"):
-        check_standardized(matrix)
+        check_standardized(matrix.values, matrix.column_ids)
