@@ -32,7 +32,7 @@ from .features import (
     filter_collinear,
     term_rank,
 )
-from .gridpredict import predict_raster, predict_raster_two_stage
+from .gridpredict import prediction_rows, two_stage_rows
 from .lars import LassoPath, lar_lasso_path
 from .models import FitMetrics, SelectedModel, fit_metrics
 from .pipeline import (
@@ -100,8 +100,7 @@ __all__ = [
     "member_predictions",
     "model_average",
     "parse_term_id",
-    "predict_raster",
-    "predict_raster_two_stage",
+    "prediction_rows",
     "read_ascii_grid",
     "read_points_csv",
     "run_method1",
@@ -111,6 +110,7 @@ __all__ = [
     "select_knot",
     "tally_selection",
     "term_rank",
+    "two_stage_rows",
     "write_ascii_grid",
     "write_points_csv",
 ]

@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .features import MAX_RANK
+from .features import MAX_ORDER, MAX_RANK
 
 ENV_OUTPUT_DIR = "SITELASSO_OUTPUT_DIR"
 
@@ -106,8 +106,8 @@ class RunConfig:
                 raise ConfigError(f"train_quota.{site} must be positive")
         if not 0.0 < self.correlation_threshold <= 1.0:
             raise ConfigError("correlation_threshold must be in (0, 1]")
-        if self.max_order < 1:
-            raise ConfigError("max_order must be >= 1")
+        if not 1 <= self.max_order <= MAX_ORDER:
+            raise ConfigError(f"max_order must be in 1..{MAX_ORDER}, got {self.max_order}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.rasters_dir and not os.path.isdir(self.rasters_dir):

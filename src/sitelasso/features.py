@@ -8,12 +8,13 @@ import numpy as np
 
 from .errors import DataError
 from .pointdata import format_float
-from .terms import RawDesign, TermSpec
+from .terms import RawDesign, TermSpec, evaluate_term
 
 log = logging.getLogger(__name__)
 
 DEFAULT_RANK = 6
 MAX_RANK = 10
+MAX_ORDER = 4
 
 
 def expand_terms(data, covariates=None, max_order=4):
@@ -38,8 +39,8 @@ def expand_terms(data, covariates=None, max_order=4):
     -------
     RawDesign with global-scope terms only.
     """
-    if not 1 <= max_order <= 4:
-        raise DataError(f"max_order must be in 1..4, got {max_order}")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise DataError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
     names = list(data.covariate_names) if covariates is None else list(covariates)
     if not names:
         raise DataError("no covariates to expand")
@@ -62,10 +63,7 @@ def expand_terms(data, covariates=None, max_order=4):
     n = data.n_rows
     values = np.empty((n, len(specs)), dtype=np.float64)
     for k, spec in enumerate(specs):
-        if spec.kind == "poly":
-            values[:, k] = columns[spec.base] ** spec.order
-        else:
-            values[:, k] = columns[spec.base] * columns[spec.other]
+        values[:, k] = evaluate_term(spec, columns)
     return RawDesign(values, specs, data.site_ids)
 
 

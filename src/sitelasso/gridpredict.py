@@ -13,10 +13,11 @@ Prediction runs a block of whole rows at a time (``pointdata.row_blocks``,
 about 4,096 cells), so it holds the covariate rasters plus one block's
 masks, gathered values and output, whatever the size of the grid.
 :func:`prediction_rows` and :func:`two_stage_rows` hand out the blocks as
-they are computed, and ``run`` writes each one to disk before the next;
-:func:`predict_raster` and :func:`predict_raster_two_stage` assemble the
-same blocks into a RasterGrid. Sites come from the site raster as int8
-codes (:func:`sites_from_raster`).
+they are computed, and ``run`` writes each one to disk before the next
+(``rasters.write_ascii_rows``). A caller that wants the whole raster in
+memory stacks them: ``grid.with_values(np.vstack(list(blocks)))``. Sites
+come from the site raster as int8 codes (:func:`sites_from_raster`); one
+site everywhere is ``([name], codes)`` with every code 0.
 
 Method 3's two-stage raster is stage 1 plus the stage-2 function of each
 pixel's own site; every output pixel is evaluated once per stage.
@@ -36,8 +37,6 @@ from .pointdata import row_blocks
 
 __all__ = [
     "check_registration",
-    "predict_raster",
-    "predict_raster_two_stage",
     "prediction_rows",
     "sites_from_raster",
     "two_stage_rows",
@@ -65,12 +64,10 @@ def check_registration(grids):
             )
 
 
-def _reference_grid(rasters, site_grid):
-    """The output grid, the first covariate raster by name or else the site
-    raster, once every raster is checked to be co-registered with it."""
+def _reference_grid(rasters):
+    """The output grid, the first covariate raster by name, once every
+    raster is checked to be co-registered with it."""
     grids = [(name, rasters[name]) for name in sorted(rasters)]
-    if site_grid is not None:
-        grids.append(("site_grid", site_grid))
     if not grids:
         raise DataError("at least one raster is required to define the output grid")
     check_registration(grids)
@@ -130,20 +127,14 @@ def _part(form, index):
     return _Part(form, np.array([*index, -1], dtype=np.intp), form.covariates)
 
 
-def _single(ensemble, rasters, site, sites):
+def _single(ensemble, rasters, sites):
     """(codes, parts) of a one-stage prediction; see :func:`prediction_rows`."""
     form = _check_covariates(linear_form(ensemble), rasters)
-    if site is not None and sites is not None:
-        raise DataError("give either a constant site or a site raster, not both")
     if sites is not None:
         names, codes = sites
         return codes, [_part(form, form.site_index(names))]
-    if site is not None:
-        return None, [_part(form, form.site_index([site]))]
     if form.sites:
-        raise DataError(
-            "this ensemble has site-scoped terms; pass site= or site_grid="
-        )
+        raise DataError("this ensemble has site-scoped terms; pass sites=")
     return None, [_part(form, [0])]
 
 
@@ -207,58 +198,29 @@ def _rows(grid, rasters, codes, parts):
         yield out.reshape(-1, grid.ncols)
 
 
-def _assemble(grid, blocks):
-    out = np.empty((grid.nrows, grid.ncols))
-    for rows, block in zip(row_blocks(grid.nrows, grid.ncols), blocks):
-        out[rows] = block
-    return grid.with_values(out)
+def prediction_rows(ensemble, rasters, sites=None):
+    """Model-averaged prediction raster for one ensemble, as ``(grid, blocks)``.
 
-
-def prediction_rows(ensemble, rasters, site=None, sites=None):
-    """:func:`predict_raster` as ``(grid, blocks)``, for writing as it comes.
-
-    ``grid`` is the covariate raster whose header the output takes (the
-    first by name) and ``blocks`` yields the output's rows in
-    ``pointdata.row_blocks`` order. Sites
-    come from ``site`` or from ``sites``, the ``(names, codes)`` that
+    ``rasters`` maps covariate name to a co-registered RasterGrid. ``grid``
+    is the covariate raster whose header the output takes (the first by
+    name) and ``blocks`` yields the output's rows in ``pointdata.row_blocks``
+    order. Site identity (needed only when the ensemble carries site-scoped
+    terms) comes from ``sites``, the ``(names, codes)`` that
     :func:`sites_from_raster` gives for a raster co-registered with
-    ``rasters``.
+    ``rasters``; a pixel with code -1 is nodata.
     """
-    grid = _reference_grid(rasters, None)
-    return grid, _rows(grid, rasters, *_single(ensemble, rasters, site, sites))
+    grid = _reference_grid(rasters)
+    return grid, _rows(grid, rasters, *_single(ensemble, rasters, sites))
 
 
 def two_stage_rows(stage1_ensemble, stage2_by_site, rasters, sites):
-    """:func:`predict_raster_two_stage` as ``(grid, blocks)``; see
-    :func:`prediction_rows`."""
-    grid = _reference_grid(rasters, None)
-    parts = _two_stage(stage1_ensemble, stage2_by_site, rasters, sites)
-    return grid, _rows(grid, rasters, *parts)
-
-
-def predict_raster(ensemble, rasters, site=None, site_grid=None, site_codes=None):
-    """Model-averaged prediction raster for one ensemble.
-
-    ``rasters`` maps covariate name to a co-registered RasterGrid. Site
-    identity (needed only when the ensemble carries site-scoped terms) comes
-    either from ``site`` (one name for every pixel) or from ``site_grid`` +
-    ``site_codes``; with a site raster, its nodata cells are nodata.
-    """
-    grid = _reference_grid(rasters, site_grid)
-    sites = None if site_grid is None else sites_from_raster(site_grid, site_codes)
-    return _assemble(grid, _rows(grid, rasters, *_single(ensemble, rasters, site, sites)))
-
-
-def predict_raster_two_stage(
-    stage1_ensemble, stage2_by_site, rasters, site_grid, site_codes
-):
-    """Prediction raster for a base ensemble plus per-site residual stages.
+    """Prediction raster for a base ensemble plus per-site residual stages,
+    as ``(grid, blocks)``; see :func:`prediction_rows`.
 
     Each pixel gets stage 1 plus the stage-2 ensemble of its own site.
-    Pixels whose site is unknown (site-raster nodata) or has no stage 2 are
-    nodata, as are pixels missing a covariate either stage reads.
+    Pixels whose site is unknown (code -1) or has no stage 2 are nodata, as
+    are pixels missing a covariate either stage reads.
     """
-    grid = _reference_grid(rasters, site_grid)
-    sites = sites_from_raster(site_grid, site_codes)
+    grid = _reference_grid(rasters)
     parts = _two_stage(stage1_ensemble, stage2_by_site, rasters, sites)
-    return _assemble(grid, _rows(grid, rasters, *parts))
+    return grid, _rows(grid, rasters, *parts)

@@ -171,13 +171,7 @@ def _oos_predictions(ens, design, row_ids, fallback):
     fall back to the full-ensemble prediction.
     """
     preds = member_predictions(ens, design)
-    held_out = np.zeros((ens.n_models, len(row_ids)), dtype=bool)
-    position = {rid: k for k, rid in enumerate(row_ids)}
-    for i, rows in enumerate(ens.validation_rows):
-        for rid in rows:
-            k = position.get(int(rid))
-            if k is not None:
-                held_out[i, k] = True
+    held_out = np.array([np.isin(row_ids, rows) for rows in ens.validation_rows])
     weight_mass = ens.weights @ held_out
     weighted = (ens.weights[:, None] * held_out * preds).sum(axis=0)
     out = np.where(weight_mass > 0, weighted / np.where(weight_mass > 0, weight_mass, 1.0), fallback)

@@ -142,7 +142,6 @@ def fit_transform(design):
     means = np.zeros(p)
     norms = np.zeros(p)
     dropped = np.zeros(p, dtype=bool)
-    out_full = np.zeros_like(X)
     for cols, mask in _scope_groups(design.terms, design.row_sites):
         n_match = int(mask.sum())
         if n_match == 0:
@@ -157,24 +156,31 @@ def fit_transform(design):
         means[cols] = m
         norms[cols] = nrm
         dropped[cols] = drop
-        keep = ~drop
-        safe = np.where(drop, 1.0, nrm)
-        scaled = centred / safe
-        block = np.zeros_like(scaled)
-        block[:, keep] = scaled[:, keep]
-        out_full[np.ix_(mask, cols)] = block
     transform = StandardizationTransform(
         list(design.terms), means, norms, dropped, design.n_rows
     )
     for cid in transform.dropped_ids:
         log.info("standardization dropped constant column %s", cid)
-    retained = transform.retained_indices
-    if retained.size == 0:
+    if transform.retained_indices.size == 0:
         raise DataError("standardization dropped every column")
-    matrix = StandardizedMatrix(
-        out_full[:, retained], transform.retained_terms, transform.transform_id
-    )
-    return matrix, transform
+    return _standardize(design, transform), transform
+
+
+def _standardize(design, transform):
+    """The transform's retained columns of ``design``, centred and scaled.
+
+    One scope group at a time; a site-scoped column is transformed on its
+    matching-site rows only and stays 0.0 elsewhere. The result is a new
+    C-ordered array of the retained width.
+    """
+    retained = transform.retained_indices
+    terms = transform.retained_terms
+    out = np.zeros((design.n_rows, retained.size))
+    for cols, mask in _scope_groups(terms, design.row_sites):
+        source = retained[cols]
+        rows = design.values[np.ix_(mask, source)]
+        out[np.ix_(mask, cols)] = (rows - transform.means[source]) / transform.norms[source]
+    return StandardizedMatrix(out, terms, transform.transform_id)
 
 
 def apply_transform(design, transform):
@@ -203,17 +209,7 @@ def apply_transform(design, transform):
             len(dropped_ids),
             dropped_ids[:8],
         )
-    retained = transform.retained_indices
-    out = np.zeros((design.n_rows, retained.size), dtype=np.float64)
-    for k, j in enumerate(retained):
-        term = transform.terms[j]
-        col = design.values[:, j]
-        if term.scope is None:
-            out[:, k] = (col - transform.means[j]) / transform.norms[j]
-        else:
-            mask = design.row_sites == term.scope
-            out[mask, k] = (col[mask] - transform.means[j]) / transform.norms[j]
-    return StandardizedMatrix(out, transform.retained_terms, transform.transform_id)
+    return _standardize(design, transform)
 
 
 def check_standardized(values, column_ids):

@@ -48,3 +48,9 @@ def quickstart_config(directory, name, **values):
     path = directory / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def assembled(grid, blocks):
+    """A streamed prediction's whole raster: its row blocks, stacked under the
+    header of ``grid``; call it as ``assembled(*prediction_rows(...))``."""
+    return grid.with_values(np.vstack(list(blocks)))

@@ -24,12 +24,13 @@ import time
 
 import numpy as np
 from _cd_oracle import cd_lasso, kkt_residuals, lasso_objective
+from _toys import assembled
 
 from sitelasso.errors import NumericalError
 from sitelasso.cli import main
 from sitelasso.ensemble import ensemble_weights, model_average, tally_selection
 from sitelasso.features import assemble_site_blocks, expand_terms, filter_collinear
-from sitelasso.gridpredict import predict_raster
+from sitelasso.gridpredict import prediction_rows
 from sitelasso.lars import lar_lasso_path
 from sitelasso.pipeline import (
     COMBINED,
@@ -455,7 +456,7 @@ def test_criterion_10_raster_matches_scalar_oracle_with_nodata_closure():
     all_rasters = dict(rasters)
     all_rasters["spare"] = unused  # present but never read by any model
 
-    grid = predict_raster(ens, all_rasters)
+    grid = assembled(*prediction_rows(ens, all_rasters))
     expected_mask = np.zeros_like(grid.nodata_mask())
     for name in needed:
         expected_mask |= rasters[name].nodata_mask()

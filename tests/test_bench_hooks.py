@@ -11,8 +11,9 @@ TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "pipebench", "traci
 # during that pass, so it imports no lar_lasso_path; select_knot still
 # resolves there (it is public API) but the pipeline no longer calls it.
 # run streams each prediction raster to disk a block of rows at a time, with
-# gridpredict.prediction_rows / two_stage_rows and rasters.write_ascii_rows,
-# so the CLI imports neither predict_raster nor predict_raster_two_stage. The
+# gridpredict.prediction_rows / two_stage_rows and rasters.write_ascii_rows;
+# those two are gridpredict's only prediction entry points, so neither the CLI
+# nor gridpredict has predict_raster or predict_raster_two_stage. The
 # prediction rasters of run are no longer counted in gridpredict.predict_s,
 # gridpredict.pixels_out, rasters.write_s or rasters.cells_written (synth's
 # grids still are, through write_ascii_grid).
@@ -21,6 +22,7 @@ KNOWN_MISSING = {
     "sitelasso.ensemble.lar_lasso_path",
     "sitelasso.cli.predict_raster",
     "sitelasso.cli.predict_raster_two_stage",
+    "sitelasso.gridpredict.predict_raster",
 }
 
 

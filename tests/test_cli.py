@@ -528,6 +528,21 @@ def test_input_faults_end_before_the_run_directory(
     assert not (tmp_path / "run").exists()
 
 
+def test_a_max_order_outside_1_to_4_ends_run_before_the_run_directory(
+    quickstart_data, tmp_path, capsys
+):
+    # max_order = 5 ended with exit code 3 and a line naming the points file
+    for order in (0, 5):
+        cfg = quickstart_config(
+            tmp_path, "run_quickstart.cfg", points=quickstart_data / "points.csv",
+            output_dir=tmp_path / "run", max_order=order,
+        )
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: max_order must be in 1..4, got {order}"]
+        assert not (tmp_path / "run").exists()
+
+
 def test_run_and_transfer_do_not_load_numpy_ma(workspace, tmp_path):
     # numpy.ma costs about 1.3 MB of RSS; np.setdiff1d and np.quantile load
     # it through np.unique. transfer also leaves OpenSSL unloaded (3.4-3.7 MB);

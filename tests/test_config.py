@@ -110,6 +110,17 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=r"hierarchy rank for 'cov0' must be 1\.\.10"):
                 load_run_config(cfg)
 
+    def test_max_orders_outside_1_to_4_are_config_errors(self, tmp_path, points_file):
+        # an order of 5 used to pass here and fail in term expansion as a data
+        # error that named the points file
+        for order in (0, 5):
+            cfg = write_cfg(
+                tmp_path,
+                f"points = {points_file}\noutput_dir = {tmp_path}\nmax_order = {order}\n",
+            )
+            with pytest.raises(ConfigError, match=rf"^max_order must be in 1\.\.4, got {order}$"):
+                load_run_config(cfg)
+
     def test_malformed_site_codes(self, tmp_path, points_file):
         cfg = write_cfg(
             tmp_path,

@@ -5,10 +5,10 @@ import pytest
 
 from sitelasso.ensemble import Ensemble, linear_form
 from sitelasso.errors import DataError
+from _toys import assembled
+
 from sitelasso.gridpredict import (
     check_registration,
-    predict_raster,
-    predict_raster_two_stage,
     prediction_rows,
     sites_from_raster,
     two_stage_rows,
@@ -61,7 +61,7 @@ def test_single_model_raster_matches_pointwise_predict():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
     run = run_method2(RunDesigns(data), plan, workers=1)
-    grid = predict_raster(run.ensemble, rasters)
+    grid = assembled(*prediction_rows(run.ensemble, rasters))
     # scalar-path oracle: recompute each pixel independently
     ens = run.ensemble
     mask = np.zeros(grid.values.size, dtype=bool)
@@ -83,7 +83,7 @@ def test_two_stage_raster_matches_scalar_oracle():
     pierced = stage1.needed_covariates()[0]
     rasters[pierced].values[2, 1] = rasters[pierced].nodata
     codes = {1.0: "B1", 2.0: "B2"}
-    grid = predict_raster_two_stage(stage1, run3.stage2, rasters, site_grid, codes)
+    grid = assembled(*two_stage_rows(stage1, run3.stage2, rasters, sites_from_raster(site_grid, codes)))
     site_values = site_grid.values.ravel()
     expected_bad = site_grid.nodata_mask().ravel() | rasters[pierced].nodata_mask().ravel()
     for code, site in codes.items():
@@ -111,7 +111,7 @@ def test_nodata_closure_only_over_needed_covariates():
     rasters[target].values[3, 4] = rasters[target].nodata
     if unused:
         rasters[unused[0]].values[5, 5] = rasters[unused[0]].nodata
-    grid = predict_raster(run.ensemble, rasters)
+    grid = assembled(*prediction_rows(run.ensemble, rasters))
     out_mask = grid.nodata_mask()
     expected = np.zeros_like(out_mask)
     for name in needed:
@@ -130,7 +130,7 @@ def test_intercept_only_ensemble_gives_weighted_constant():
     for model in ens.models:
         model.coef = {}
         model.subset_size = 0
-    grid = predict_raster(ens, rasters)
+    grid = assembled(*prediction_rows(ens, rasters))
     expected = float(ens.weights @ np.array([m.intercept for m in ens.models]))
     valid = ~grid.nodata_mask()
     assert np.allclose(grid.values[valid], expected, atol=1e-12)
@@ -153,11 +153,11 @@ def test_grid_mismatch_and_missing_covariate_errors():
     broken["cov0"] = shifted
     # cov0 is the reference grid, so the first raster that differs from it is named
     with pytest.raises(DataError, match="^raster cov1: xllcorner 0 differs from 1 in cov0$"):
-        predict_raster(run.ensemble, broken)
+        prediction_rows(run.ensemble, broken)
     needed = run.ensemble.needed_covariates()
     partial = {k: v for k, v in rasters.items() if k != needed[0]}
     with pytest.raises(DataError, match=needed[0]):
-        predict_raster(run.ensemble, partial)
+        prediction_rows(run.ensemble, partial)
 
 
 def test_site_scoped_ensemble_needs_and_uses_site_information():
@@ -167,9 +167,9 @@ def test_site_scoped_ensemble_needs_and_uses_site_information():
     if not run.ensemble.needs_site_information():
         pytest.skip("no scoped term survived selection in this toy")
     with pytest.raises(DataError, match="site"):
-        predict_raster(run.ensemble, rasters)
+        prediction_rows(run.ensemble, rasters)
     codes = {1.0: "B1", 2.0: "B2"}
-    grid = predict_raster(run.ensemble, rasters, site_grid=site_grid, site_codes=codes)
+    grid = assembled(*prediction_rows(run.ensemble, rasters, sites=sites_from_raster(site_grid, codes)))
     # oracle: evaluate the ensemble on the pixel rows with known sites
     mask = site_grid.nodata_mask().ravel()
     for name in run.ensemble.needed_covariates():
@@ -194,12 +194,13 @@ def test_two_stage_raster_adds_site_amendments():
     plan = small_plan(data, n_splits=5)
     run3 = run_method3(RunDesigns(data), plan, workers=1)
     codes = {1.0: "B1", 2.0: "B2"}
-    combined = predict_raster_two_stage(
-        run3.stage1.ensemble, run3.stage2, rasters, site_grid, codes
-    )
-    base = predict_raster(run3.stage1.ensemble, rasters)
+    combined = assembled(*two_stage_rows(
+        run3.stage1.ensemble, run3.stage2, rasters, sites_from_raster(site_grid, codes)
+    ))
+    base = assembled(*prediction_rows(run3.stage1.ensemble, rasters))
+    everywhere = np.zeros(site_grid.values.size, dtype=np.int8)
     for site, code in (("B1", 1.0), ("B2", 2.0)):
-        amend = predict_raster(run3.stage2[site], rasters, site=site)
+        amend = assembled(*prediction_rows(run3.stage2[site], rasters, sites=([site], everywhere)))
         sel = (site_grid.values == code) & ~combined.nodata_mask()
         assert sel.any()
         np.testing.assert_allclose(
@@ -227,13 +228,13 @@ def test_two_stage_raster_skips_stage2_of_a_site_without_pixels():
         validation_rows=[],
     )
     codes = {1.0: "B1", 2.0: "B2"}
-    base = predict_raster_two_stage(
-        run3.stage1.ensemble, run3.stage2, rasters, site_grid, codes
-    )
-    grid = predict_raster_two_stage(
-        run3.stage1.ensemble, {**run3.stage2, "B3": unseen}, rasters, site_grid,
-        {**codes, 3.0: "B3"},
-    )
+    base = assembled(*two_stage_rows(
+        run3.stage1.ensemble, run3.stage2, rasters, sites_from_raster(site_grid, codes)
+    ))
+    grid = assembled(*two_stage_rows(
+        run3.stage1.ensemble, {**run3.stage2, "B3": unseen}, rasters,
+        sites_from_raster(site_grid, {**codes, 3.0: "B3"}),
+    ))
     assert np.array_equal(grid.values, base.values)
 
 
@@ -242,7 +243,7 @@ def test_raster_point_consistency():
     plan = small_plan(data, n_splits=5)
     run = run_method2(RunDesigns(data), plan, workers=1)
     ens = run.ensemble
-    grid = predict_raster(ens, rasters)
+    grid = assembled(*prediction_rows(ens, rasters))
     # build a fake point whose covariates equal one pixel's values
     pix_row, pix_col = 4, 7
     cov = {
@@ -323,14 +324,13 @@ def test_streamed_raster_equals_the_written_assembled_raster(streamed_setup, met
     run = runs[method]
     sites = sites_from_raster(site_grid, CODES)
     if method == "m3":
-        grid = predict_raster_two_stage(run.stage1.ensemble, run.stage2, rasters, site_grid, CODES)
-        header, blocks = two_stage_rows(run.stage1.ensemble, run.stage2, rasters, sites)
+        stream = lambda: two_stage_rows(run.stage1.ensemble, run.stage2, rasters, sites)
     elif method == "m4":
-        grid = predict_raster(run.ensemble, rasters, site_grid=site_grid, site_codes=CODES)
-        header, blocks = prediction_rows(run.ensemble, rasters, sites=sites)
+        stream = lambda: prediction_rows(run.ensemble, rasters, sites=sites)
     else:
-        grid = predict_raster(run.ensemble, rasters)
-        header, blocks = prediction_rows(run.ensemble, rasters)
+        stream = lambda: prediction_rows(run.ensemble, rasters)
+    grid = assembled(*stream())
+    header, blocks = stream()
     write_ascii_grid(tmp_path / "assembled.asc", grid)
     write_ascii_rows(tmp_path / "streamed.asc", header, blocks)
     assert (tmp_path / "streamed.asc").read_bytes() == (tmp_path / "assembled.asc").read_bytes()

@@ -1,4 +1,4 @@
-"""Every module-level import in the package is read by its module.
+"""Every module-level import in the package and its tests is read by its module.
 
 The test dependencies ship no linter, so each module is parsed with ``ast``.
 A name bound by a module-level import, in a ``try`` block too, must appear
@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sitelasso"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "sitelasso"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def module_imports(tree):
@@ -29,7 +31,11 @@ def module_imports(tree):
                 yield (alias.asname or alias.name).split(".")[0], node.lineno
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    [pytest.param(p, id=p.name) for p in MODULES]
+    + [pytest.param(p, id=f"tests/{p.name}") for p in TEST_MODULES],
+)
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
