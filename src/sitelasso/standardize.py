@@ -171,15 +171,18 @@ def _standardize(design, transform):
 
     One scope group at a time; a site-scoped column is transformed on its
     matching-site rows only and stays 0.0 elsewhere. The result is a new
-    C-ordered array of the retained width.
+    C-ordered array of the retained width: knot scoring multiplies the
+    validation matrix with ``np.matmul``, whose rounding follows the layout.
     """
     retained = transform.retained_indices
     terms = transform.retained_terms
     out = np.zeros((design.n_rows, retained.size))
     for cols, mask in _scope_groups(terms, design.row_sites):
         source = retained[cols]
-        rows = design.values[np.ix_(mask, source)]
-        out[np.ix_(mask, cols)] = (rows - transform.means[source]) / transform.norms[source]
+        rows = design.values[np.ix_(mask, source)]  # a copy, changed in place
+        rows -= transform.means[source]
+        rows /= transform.norms[source]
+        out[np.ix_(mask, cols)] = rows
     return StandardizedMatrix(out, terms, transform.transform_id)
 
 

@@ -531,7 +531,8 @@ def test_input_faults_end_before_the_run_directory(
 def test_a_max_order_outside_1_to_4_ends_run_before_the_run_directory(
     quickstart_data, tmp_path, capsys
 ):
-    # max_order = 5 ended with exit code 3 and a line naming the points file
+    # term expansion rejects these too, but as a data error (exit code 3)
+    # prefixed with the points file
     for order in (0, 5):
         cfg = quickstart_config(
             tmp_path, "run_quickstart.cfg", points=quickstart_data / "points.csv",

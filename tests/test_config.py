@@ -111,8 +111,8 @@ class TestRunConfig:
                 load_run_config(cfg)
 
     def test_max_orders_outside_1_to_4_are_config_errors(self, tmp_path, points_file):
-        # an order of 5 used to pass here and fail in term expansion as a data
-        # error that named the points file
+        # term expansion rejects these too, but as a data error that the CLI
+        # prefixes with the points file
         for order in (0, 5):
             cfg = write_cfg(
                 tmp_path,

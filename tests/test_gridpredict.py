@@ -2,11 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _toys import assembled
 
 from sitelasso.ensemble import Ensemble, linear_form
 from sitelasso.errors import DataError
-from _toys import assembled
-
 from sitelasso.gridpredict import (
     check_registration,
     prediction_rows,
