@@ -34,7 +34,7 @@ from .features import (
 )
 from .gridpredict import prediction_rows, two_stage_rows
 from .lars import LassoPath, lar_lasso_path
-from .models import FitMetrics, SelectedModel, fit_metrics
+from .models import FitMetrics, fit_metrics
 from .pipeline import (
     MethodRun,
     RunDesigns,
@@ -74,7 +74,6 @@ __all__ = [
     "RasterGrid",
     "RawDesign",
     "RunDesigns",
-    "SelectedModel",
     "SiteLassoError",
     "SplitPlan",
     "StandardizationTransform",

@@ -12,7 +12,6 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .errors import DataError
-from .models import SelectedModel
 from .standardize import StandardizationTransform
 from .terms import parse_term_id
 
@@ -21,20 +20,27 @@ ARTIFACT_VERSION = 1
 
 
 def ensemble_to_dict(ensemble):
+    members = zip(
+        ensemble.intercepts.tolist(),
+        ensemble.coefs.tolist(),
+        ensemble.sses.tolist(),
+        ensemble.transforms,
+    )
+    ids = ensemble.column_ids
     return {
         "kind": ARTIFACT_KIND,
         "version": ARTIFACT_VERSION,
-        "terms": [t.term_id for t in ensemble.terms],
+        "terms": ids,
         "split_plan_ref": ensemble.split_plan_ref,
         "weights": ensemble.weights.tolist(),
         "models": [
             {
-                "intercept": m.intercept,
-                "coef": dict(m.coef),
-                "validation_sse": m.validation_sse,
-                "transform_ref": m.transform_ref,
+                "intercept": intercept,
+                "coef": {cid: c for cid, c in zip(ids, coefs) if c != 0},
+                "validation_sse": sse,
+                "transform_ref": transform.transform_id,
             }
-            for m in ensemble.models
+            for intercept, coefs, sse, transform in members
         ],
         "transforms": [
             {
@@ -66,37 +72,24 @@ def ensemble_from_dict(payload):
         )
         for body in payload["transforms"]
     ]
-    term_ids = set(payload["terms"])
-    models = []
-    for body, transform in zip(payload["models"], transforms):
-        model = SelectedModel(
-            intercept=float(body["intercept"]),
-            coef={str(k): float(v) for k, v in body["coef"].items()},
-            subset_size=len(body["coef"]),
-            validation_sse=float(body["validation_sse"]),
-            transform_ref=str(body["transform_ref"]),
+    models = payload["models"]
+    maps = [body["coef"] for body in models]
+    position = {tid: j for j, tid in enumerate(payload["terms"])}
+    unknown = sorted({cid for coef in maps for cid in coef} - set(position))
+    if unknown:
+        raise DataError(
+            f"ensemble artifact has coefficients for unknown terms {unknown[:8]}"
         )
-        unknown = sorted(set(model.coef) - term_ids)
-        if unknown:
-            raise DataError(
-                f"ensemble artifact has coefficients for unknown terms {unknown[:8]}"
-            )
-        if model.transform_ref != transform.transform_id:
-            raise DataError(
-                "ensemble artifact is inconsistent: a model references "
-                f"transform {model.transform_ref} but its stored transform "
-                f"hashes to {transform.transform_id}"
-            )
-        models.append(model)
-    if len(models) != len(transforms):
-        raise DataError("ensemble artifact has mismatched model/transform counts")
-    weights = np.asarray(payload["weights"], dtype=np.float64)
-    if weights.shape != (len(models),):
-        raise DataError("ensemble artifact has mismatched weight/model counts")
-    return Ensemble(
-        models=models,
+    coefs = np.zeros((len(models), len(terms)))
+    member = np.repeat(np.arange(len(models)), [len(coef) for coef in maps])
+    column = [position[cid] for coef in maps for cid in coef]
+    coefs[member, column] = [float(c) for coef in maps for c in coef.values()]
+    ensemble = Ensemble(
+        intercepts=np.array([float(body["intercept"]) for body in models]),
+        coefs=coefs,
+        sses=np.array([float(body["validation_sse"]) for body in models]),
         transforms=transforms,
-        weights=weights,
+        weights=np.asarray(payload["weights"], dtype=np.float64),
         terms=terms,
         split_plan_ref=str(payload["split_plan_ref"]),
         validation_errors=[
@@ -106,6 +99,14 @@ def ensemble_from_dict(payload):
             np.asarray(r, dtype=np.intp) for r in payload["validation_rows"]
         ],
     )
+    for body, transform in zip(models, transforms):
+        if body["transform_ref"] != transform.transform_id:
+            raise DataError(
+                "ensemble artifact is inconsistent: a model references "
+                f"transform {body['transform_ref']} but its stored transform "
+                f"hashes to {transform.transform_id}"
+            )
+    return ensemble
 
 
 def write_json(path, payload):

@@ -15,7 +15,6 @@ import glob
 import os
 import shutil
 import sys
-from types import SimpleNamespace
 
 from . import artifacts
 from .config import ENV_OUTPUT_DIR, METHOD_LABELS, load_run_config, load_synth_spec
@@ -175,7 +174,7 @@ def cmd_run(args):
         if label.startswith("m1-"):
             run = run_method1(designs, site_by_label[label], plan, config.workers)
             other = sites[1] if run.site == sites[0] else sites[0]
-            transfer = evaluate_transfer(run, data.subset(data.site_rows(other)))
+            transfer = evaluate_transfer(run.ensemble, data.subset(data.site_rows(other)))
             table[label] = dict(run.metrics)
             table[label][other] = transfer.metrics
         elif label == "m2":
@@ -307,8 +306,7 @@ def cmd_transfer(args):
     rows = []
     report = None
     for source_site, ens in sources:
-        shim = SimpleNamespace(method="m1", site=source_site, ensemble=ens)
-        result = evaluate_transfer(shim, target)
+        result = evaluate_transfer(ens, target)
         rows.append(
             (
                 source_site,
@@ -318,6 +316,8 @@ def cmd_transfer(args):
                 result.metrics.n,
             )
         )
+        # the predictions are not written; free them before the support report
+        del result
         if source_data is not None and report is None:
             for tsite in target.sites():
                 if tsite == source_site or source_site not in source_data.sites():

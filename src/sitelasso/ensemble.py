@@ -2,14 +2,12 @@
 
 import csv
 import logging
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .lars import gram_system, lockstep_paths, path_flags, shrink_rows
-from .models import SelectedModel
 from .standardize import apply_transform, fit_transform
 from .terms import evaluate_term
 
@@ -55,17 +53,6 @@ class _KnotScorer:
             self.coef[won] = coefs[better]
             self.resid[won] = resid[better]
 
-    def model(self, i, column_ids, transform_ref):
-        """The chosen model of path ``i``, with ``column_ids`` naming its columns."""
-        coef = self.coef[i]
-        return SelectedModel(
-            intercept=float(self.intercepts[i]),
-            coef={column_ids[j]: float(coef[j]) for j in np.flatnonzero(coef)},
-            subset_size=int(self.size[i]),
-            validation_sse=float(self.sse[i]),
-            transform_ref=transform_ref,
-        )
-
 
 def select_knot(path, X_valid, y_valid):
     """Pick the path knot with minimum validation SSE.
@@ -77,8 +64,9 @@ def select_knot(path, X_valid, y_valid):
 
     Returns
     -------
-    (SelectedModel, validation_errors) where the errors are observed minus
-    predicted at the winning knot.
+    (coef, validation_sse, validation_errors) of the winning knot: its
+    coefficients over the path's columns, and the observed minus predicted
+    values on the validation rows.
     """
     y_valid = np.asarray(y_valid, dtype=np.float64)
     if y_valid.shape != (X_valid.n_rows,):
@@ -89,8 +77,7 @@ def select_knot(path, X_valid, y_valid):
     first = np.zeros(1, dtype=np.intp)
     for lam, coefs in zip(path.lambdas, path.coefs):
         scorer(first, lam[None], coefs[None])
-    model = scorer.model(0, path.column_ids, X_valid.transform_ref)
-    return model, scorer.resid[0]
+    return scorer.coef[0], float(scorer.sse[0]), scorer.resid[0]
 
 
 def ensemble_weights(validation_sses):
@@ -121,9 +108,18 @@ def ensemble_weights(validation_sses):
 
 @dataclass
 class Ensemble:
-    """The cross-validation ensemble for one method and one design."""
+    """The cross-validation ensemble for one method and one design.
 
-    models: list
+    Member i predicts intercepts[i] + sum_j coefs[i, j] (x_j - m_ij) / s_ij
+    over the terms j it reads (coefs[i, j] != 0), where m_ij and s_ij are
+    the training mean and norm of term j in transforms[i], and a site-scoped
+    term reads 0 on rows of other sites. The ensemble predicts the members'
+    average under ``weights``.
+    """
+
+    intercepts: np.ndarray  # (n_models,) training response means
+    coefs: np.ndarray  # (n_models, n_terms) chosen knots, 0 where unread
+    sses: np.ndarray  # (n_models,) validation SSE at the chosen knot
     transforms: list
     weights: np.ndarray
     terms: list  # fit-time term list of the shared raw design
@@ -131,9 +127,31 @@ class Ensemble:
     validation_errors: list  # per-split residual arrays at the chosen knot
     validation_rows: list  # per-split dataset row ids of the validation set
 
+    def __post_init__(self):
+        n = len(self.intercepts)
+        if n == 0:
+            raise DataError("ensemble has no models")
+        counts = {
+            "coefficient row": len(self.coefs),
+            "SSE": len(self.sses),
+            "transform": len(self.transforms),
+            "weight": len(self.weights),
+            "validation row": len(self.validation_rows),
+            "validation error": len(self.validation_errors),
+        }
+        for name, count in counts.items():
+            if count != n:
+                raise DataError(
+                    f"ensemble has mismatched {name}/model counts ({count} for {n} models)"
+                )
+        if self.weights.ndim != 1 or self.coefs.shape[1:] != (len(self.terms),):
+            raise DataError("ensemble weights or coefficients have the wrong shape")
+        if np.any(self.sses < 0):
+            raise DataError("validation SSE cannot be negative")
+
     @property
     def n_models(self):
-        return len(self.models)
+        return len(self.intercepts)
 
     @property
     def column_ids(self):
@@ -218,34 +236,35 @@ class LinearForm:
 def linear_form(ensemble):
     """Derive the ensemble's raw-space linear form from its members alone.
 
-    Terms are visited in the ensemble's term order, whatever the order of a
-    model's coefficient map, so a fitted ensemble and its JSON round trip
-    give the same bits.
+    Each member's intercept takes its terms' offsets one at a time, in the
+    ensemble's term order, so a fitted ensemble and its JSON round trip give
+    the same bits.
     """
-    position = {cid: j for j, cid in enumerate(ensemble.column_ids)}
-    columns = sorted({position[cid] for model in ensemble.models for cid in model.coef})
+    columns = np.flatnonzero((ensemble.coefs != 0).any(axis=0))
     terms = [ensemble.terms[j] for j in columns]
     sites = tuple(sorted({t.scope for t in terms if t.scope is not None}))
     scope_index = np.array(
         [0 if t.scope is None else 1 + sites.index(t.scope) for t in terms],
         dtype=np.intp,
     )
-    slot = {j: k for k, j in enumerate(columns)}
-    slopes = np.zeros((ensemble.n_models, len(columns)))
-    intercepts = np.empty((ensemble.n_models, 1 + len(sites)))
-    for i, (model, transform) in enumerate(zip(ensemble.models, ensemble.transforms)):
-        intercepts[i] = model.intercept
-        for cid in sorted(model.coef, key=position.get):
-            j = position[cid]
-            k = slot[j]
-            slope = model.coef[cid] / transform.norms[j]
-            slopes[i, k] = slope
-            # a global term's offset applies to every site, a scoped one's to its own
-            target = slice(None) if scope_index[k] == 0 else scope_index[k]
-            intercepts[i, target] -= slope * transform.means[j]
+    coefs = ensemble.coefs[:, columns]
+    reads = coefs != 0
+    means = np.stack([t.means[columns] for t in ensemble.transforms])
+    norms = np.stack([t.norms[columns] for t in ensemble.transforms])
+    # a column that a member's transform drops can have norm 0; it never reads
+    # it. The slopes are C-ordered, since the sums of `weights @ slopes` below
+    # follow the memory layout.
+    slopes = np.divide(coefs, norms, out=np.zeros(coefs.shape), where=reads)
+    offsets = slopes * means
+    intercepts = np.repeat(ensemble.intercepts[:, None], 1 + len(sites), axis=1)
+    for k, scope in enumerate(scope_index):
+        # a global term's offset applies to every site, a scoped one's to its own
+        target = intercepts if scope == 0 else intercepts[:, scope : scope + 1]
+        column = slice(k, k + 1)
+        np.subtract(target, offsets[:, column], out=target, where=reads[:, column])
     return LinearForm(
         terms=terms,
-        columns=np.asarray(columns, dtype=np.intp),
+        columns=columns,
         scope_index=scope_index,
         sites=sites,
         member_slopes=slopes,
@@ -296,16 +315,11 @@ def tally_selection(ensemble):
     -------
     (dict term_id -> count, dict size -> count)
     """
-    freq = Counter()
-    sizes = Counter()
-    for model in ensemble.models:
-        sizes[model.subset_size] += 1
-        for cid in model.coef:
-            freq[cid] += 1
-    total = sum(sizes.values())
-    if total != ensemble.n_models:
-        raise DataError("tally saw a different number of models than the ensemble")
-    return dict(freq), dict(sizes)
+    reads = ensemble.coefs != 0
+    by_term = reads.sum(axis=0)
+    by_size = np.bincount(reads.sum(axis=1))
+    freq = {ensemble.column_ids[j]: int(by_term[j]) for j in np.flatnonzero(by_term)}
+    return freq, {int(s): int(by_size[s]) for s in np.flatnonzero(by_size)}
 
 
 def write_selection_csv(path, freq):
@@ -366,8 +380,10 @@ def _batches(split_pairs, p):
 
 
 def _fit_batch(design, y, row_ids, batch):
-    """Fit one lockstep batch of splits; one (model, transform, residuals) each.
+    """Fit one lockstep batch of splits.
 
+    Returns the transforms and the scorer's rows: intercepts, chosen
+    coefficients, validation SSEs and validation residuals, one per split.
     Every path runs over all design columns: a column that standardization
     drops for a split stays zero in its Gram and never enters.
     """
@@ -396,21 +412,15 @@ def _fit_batch(design, y, row_ids, batch):
         transforms.append(transform)
         del X_train, gram  # only the Gram stays
     scorer = _KnotScorer(X_valid, y_valid, intercepts)
-    outcomes = lockstep_paths(grams, xty, max_active, max_steps, scorer)
-    results = []
-    for i, (transform, outcome) in enumerate(zip(transforms, zip(*outcomes))):
+    for outcome in zip(*lockstep_paths(grams, xty, max_active, max_steps, scorer)):
         path_flags(*outcome)
-        model = scorer.model(i, design.column_ids, transform.transform_id)
-        results.append((model, transform, scorer.resid[i].copy()))
-    return results
+    return transforms, intercepts, scorer.coef, scorer.sse, list(scorer.resid)
 
 
 def _fit_chunk(args):
     design, y, row_ids, split_pairs = args
-    results = []
-    for batch in _batches(split_pairs, design.n_cols):
-        results.extend(_fit_batch(design, y, row_ids, batch))
-    return results
+    batches = _batches(split_pairs, design.n_cols)
+    return [_fit_batch(design, y, row_ids, batch) for batch in batches]
 
 
 def fit_ensemble(design, response, splits, row_ids, split_plan_ref="", workers=1):
@@ -431,9 +441,8 @@ def fit_ensemble(design, response, splits, row_ids, split_plan_ref="", workers=1
         raise DataError("response/row_ids must align with the design rows")
     if np.any(np.diff(row_ids) <= 0):
         raise DataError("row_ids must be strictly ascending")
-    results = []
     if workers <= 1 or len(splits) < 2:
-        results = _fit_chunk((design, y, row_ids, splits))
+        batches = _fit_chunk((design, y, row_ids, splits))
     else:
         # imported here so that only a multi-worker fit loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -446,18 +455,17 @@ def fit_ensemble(design, response, splits, row_ids, split_plan_ref="", workers=1
             if b > a
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_fit_chunk, chunks):
-                results.extend(part)
-    models = [r[0] for r in results]
-    transforms = [r[1] for r in results]
-    residuals = [r[2] for r in results]
-    weights = ensemble_weights(np.array([m.validation_sse for m in models]))
+            batches = [batch for part in pool.map(_fit_chunk, chunks) for batch in part]
+    transforms, intercepts, coefs, sses, residuals = zip(*batches)
+    sses = np.concatenate(sses)
     return Ensemble(
-        models=models,
-        transforms=transforms,
-        weights=weights,
+        intercepts=np.concatenate(intercepts),
+        coefs=np.concatenate(coefs),
+        sses=sses,
+        transforms=[t for part in transforms for t in part],
+        weights=ensemble_weights(sses),
         terms=list(design.terms),
         split_plan_ref=split_plan_ref,
-        validation_errors=residuals,
+        validation_errors=[e for part in residuals for e in part],
         validation_rows=[np.asarray(va, dtype=np.intp) for _, va in splits],
     )

@@ -1,28 +1,10 @@
-"""Selected models and fit quality metrics."""
+"""Fit quality metrics."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-
-
-@dataclass
-class SelectedModel:
-    """One cross-validation winner: a sparse coefficient map over standardized
-    columns, plus the intercept (training response mean) and bookkeeping."""
-
-    intercept: float
-    coef: dict  # column_id -> non-zero coefficient
-    subset_size: int
-    validation_sse: float
-    transform_ref: str
-
-    def __post_init__(self):
-        if self.subset_size != len(self.coef):
-            raise DataError("subset_size must equal the number of non-zero coefficients")
-        if self.validation_sse < 0:
-            raise DataError("validation SSE cannot be negative")
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,6 @@ def run_method3(designs, plan, workers=1, stage1=None):
 
 @dataclass(frozen=True)
 class TransferResult:
-    source_site: str
     target_site: str
     metrics: object
     predictions: np.ndarray
@@ -241,18 +240,16 @@ class TransferResult:
 _BLOCK_ROWS = 1 << 14
 
 
-def evaluate_transfer(source_run, target_data):
+def evaluate_transfer(ensemble, target_data):
     """Predict another site's observations with a method-1 ensemble.
 
-    Evaluates the source ensemble's linear form, built from the source
-    models' training transforms and weights unchanged; nothing is refitted.
+    Evaluates the ensemble's linear form, built from its members' training
+    transforms and weights unchanged; nothing is refitted.
     Rows are evaluated a block at a time; ``LinearForm.predict`` computes
     each row on its own, so the blocks do not change the bits.
-    Raises DataError if the target lacks a covariate the source models read.
+    Raises DataError if the target lacks a covariate the members read.
     """
-    if source_run.method != "m1":
-        raise DataError("transfer needs a method-1 (single site) source run")
-    form = linear_form(source_run.ensemble)
+    form = linear_form(ensemble)
     covariates = target_data.covariate_map()
     preds = np.empty(target_data.n_rows)
     for start in range(0, target_data.n_rows, _BLOCK_ROWS):
@@ -264,7 +261,6 @@ def evaluate_transfer(source_run, target_data):
     target_sites = target_data.sites()
     label = target_sites[0] if len(target_sites) == 1 else COMBINED
     return TransferResult(
-        source_site=source_run.site,
         target_site=label,
         metrics=fit_metrics(target_data.response, preds),
         predictions=preds,

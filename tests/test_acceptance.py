@@ -423,8 +423,12 @@ def test_criterion_09_transfer_asymmetry_under_nested_supports():
     designs = RunDesigns(data)
     run_narrow = run_method1(designs, narrow, plan, workers=1)
     run_wide = run_method1(designs, wide, plan, workers=1)
-    narrow_to_wide = evaluate_transfer(run_narrow, data.subset(data.site_rows(wide)))
-    wide_to_narrow = evaluate_transfer(run_wide, data.subset(data.site_rows(narrow)))
+    narrow_to_wide = evaluate_transfer(
+        run_narrow.ensemble, data.subset(data.site_rows(wide))
+    )
+    wide_to_narrow = evaluate_transfer(
+        run_wide.ensemble, data.subset(data.site_rows(narrow))
+    )
     r2_nw = narrow_to_wide.metrics.r2
     r2_wn = wide_to_narrow.metrics.r2
     assert r2_nw < 0.0, f"narrow->wide transfer R2 {r2_nw:.3f} not negative"

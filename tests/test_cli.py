@@ -333,11 +333,25 @@ def test_a_bad_transform_ref_ends_transfer_before_its_output_directory(
     del no_weights["weights"]
     short_weights = json.loads(sound)
     short_weights["weights"] = short_weights["weights"][1:]
+    # every per-member list holds one entry per model, and there is a model
+    surplus_model = json.loads(sound)
+    surplus_model["models"].append(surplus_model["models"][0])
+    short_rows = json.loads(sound)
+    short_rows["validation_rows"] = short_rows["validation_rows"][:3]
+    long_errors = json.loads(sound)
+    long_errors["validation_errors"].append([])
+    no_members = json.loads(sound)
+    for key in ("models", "transforms", "weights", "validation_rows", "validation_errors"):
+        no_members[key] = []
     faults = [
         (json.dumps(bad_ref), "references transform xf-0000000000000000"),
         (sound[: len(sound) // 2].decode(), "malformed ensemble artifact"),
         (json.dumps(no_weights), "has no key 'weights'"),
         (json.dumps(short_weights), "mismatched weight/model counts"),
+        (json.dumps(surplus_model), "mismatched transform/model counts"),
+        (json.dumps(short_rows), "mismatched validation row/model counts"),
+        (json.dumps(long_errors), "mismatched validation error/model counts"),
+        (json.dumps(no_members), "ensemble has no models"),
     ]
     target = workspace["synth"] / "points.csv"
     for content, message in faults:
@@ -356,13 +370,26 @@ def test_transform_ids_are_sha1_digests_of_the_transform_lines(workspace):
     paths = sorted(workspace["run"].glob("ensemble_*.json"))
     assert len(paths) >= 5
     for path in paths:
-        ens = artifacts.ensemble_from_dict(artifacts.read_json(path))
-        for model, xf in zip(ens.models, ens.transforms):
+        payload = artifacts.read_json(path)
+        ens = artifacts.ensemble_from_dict(payload)
+        for model, xf in zip(payload["models"], ens.transforms, strict=True):
             digest = hashlib.sha1()
             for term, m, s, d in zip(xf.terms, xf.means, xf.norms, xf.dropped):
                 digest.update(f"{term.term_id}|{m!r}|{s!r}|{int(d)}\n".encode())
             assert xf.transform_id == "xf-" + digest.hexdigest()[:16]
-            assert model.transform_ref == xf.transform_id
+            assert model["transform_ref"] == xf.transform_id
+
+
+def test_every_ensemble_artifact_is_rewritten_byte_for_byte(workspace, tmp_path):
+    paths = sorted(workspace["run"].glob("ensemble_*.json"))
+    assert len(paths) >= 5
+    for path in paths:
+        payload = artifacts.read_json(path)
+        again = artifacts.ensemble_to_dict(artifacts.ensemble_from_dict(payload))
+        again["method"], again["site"] = payload["method"], payload["site"]
+        copy = tmp_path / path.name
+        artifacts.write_json(copy, again)
+        assert copy.read_bytes() == path.read_bytes(), path.name
 
 
 def test_error_to_exit_code_mapping():

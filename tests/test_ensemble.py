@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from _spec_route import predict
+from _spec_route import members, predict
 
 from sitelasso import artifacts
 from sitelasso.ensemble import (
@@ -44,15 +44,15 @@ def test_select_knot_brute_force_agreement():
         "xf-t",
     )
     y_valid = y[16:]
-    model, resid = select_knot(path, X_valid, y_valid)
+    coef, sse, resid = select_knot(path, X_valid, y_valid)
     # brute force over dense knot vectors
     sses = []
     for beta in path.coefs:
         pred = path.intercept + X_valid.values @ beta
         sses.append(float(((y_valid - pred) ** 2).sum()))
-    assert model.validation_sse == pytest.approx(min(sses), abs=1e-12)
+    assert sse == pytest.approx(min(sses), abs=1e-12)
     winners = [k for k, s in enumerate(sses) if s == min(sses)]
-    assert model.subset_size == min(np.count_nonzero(path.coefs[k]) for k in winners)
+    assert np.count_nonzero(coef) == min(np.count_nonzero(path.coefs[k]) for k in winners)
     assert np.allclose(resid, y_valid - (path.intercept + X_valid.values @ path.coefs[winners[0]]))
 
 
@@ -61,15 +61,15 @@ def test_select_knot_tie_prefers_smaller_subset():
     coefs = np.array([[0.0, 0.0], [1.0, -1.0]])
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # coef (1,-1) cancels
     path = LassoPath(np.array([2.0, 1.0]), coefs, 0.7, ["c0", "c1"])
-    model, _ = select_knot(path, toy_matrix(X), np.array([0.7, 0.7, 0.7]))
-    assert model.subset_size == 0
-    assert model.coef == {}
+    coef, _, _ = select_knot(path, toy_matrix(X), np.array([0.7, 0.7, 0.7]))
+    assert np.array_equal(coef, [0.0, 0.0])
 
 
 def test_intercept_only_knot_predicts_training_mean():
     path = LassoPath(np.array([0.0]), np.zeros((1, 1)), 5.5, ["c0"])
-    model, resid = select_knot(path, toy_matrix(np.zeros((3, 1))), np.array([5.5, 6.5, 4.5]))
-    assert model.intercept == 5.5
+    X_valid = toy_matrix(np.zeros((3, 1)))
+    coef, sse, resid = select_knot(path, X_valid, np.array([5.5, 6.5, 4.5]))
+    assert np.array_equal(coef, [0.0]) and sse == 2.0
     assert np.allclose(resid, [0.0, 1.0, -1.0])
 
 
@@ -138,13 +138,37 @@ def test_model_average_matches_spec_route(site_blocks):
     assert ens.needs_site_information() == site_blocks
     fast = model_average(ens, design)
     slow = np.zeros(design.n_rows)
-    for model, transform, weight in zip(ens.models, ens.transforms, ens.weights):
+    for member, transform, weight in zip(members(ens), ens.transforms, ens.weights):
         X = apply_transform(design, transform)
-        slow += weight * predict(model, X)
+        slow += weight * predict(member, X)
     assert np.max(np.abs(fast - slow)) <= 1e-10
-    members = member_predictions(ens, design)
-    assert np.max(np.abs(fast - ens.weights @ members)) <= 1e-12
+    each = member_predictions(ens, design)
+    assert np.max(np.abs(fast - ens.weights @ each)) <= 1e-12
     assert abs(ens.weights.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("site_blocks", [False, True], ids=["global", "site_blocks"])
+def test_linear_form_equals_the_member_loop_bit_for_bit(site_blocks):
+    # member by member: each read term in the ensemble's term order, one
+    # subtraction from the intercept at a time
+    _, _, ens = fitted_toy_ensemble(site_blocks=site_blocks)
+    form = linear_form(ens)
+    assert bool(form.sites) == site_blocks
+    assert np.array_equal(form.columns, np.flatnonzero(ens.coefs.any(axis=0)))
+    slopes = np.zeros(form.member_slopes.shape)
+    intercepts = np.empty(form.member_intercepts.shape)
+    for i, transform in enumerate(ens.transforms):
+        intercepts[i] = ens.intercepts[i]
+        for k, j in enumerate(form.columns):
+            if ens.coefs[i, j] != 0:
+                slopes[i, k] = ens.coefs[i, j] / transform.norms[j]
+                scope = form.scope_index[k]
+                target = slice(None) if scope == 0 else scope
+                intercepts[i, target] -= slopes[i, k] * transform.means[j]
+    assert slopes.tobytes() == form.member_slopes.tobytes()
+    assert intercepts.tobytes() == form.member_intercepts.tobytes()
+    assert (ens.weights @ slopes).tobytes() == form.slopes.tobytes()
+    assert (ens.weights @ intercepts).tobytes() == form.intercepts.tobytes()
 
 
 def test_linear_form_is_bitwise_stable_across_json_round_trip():
@@ -176,21 +200,21 @@ def test_tally_matches_brute_force():
     _, _, ens = fitted_toy_ensemble()
     freq, sizes = tally_selection(ens)
     assert sum(sizes.values()) == ens.n_models
+    maps = [coef for _, coef, _ in members(ens)]
+    assert set(freq) == {cid for coef in maps for cid in coef}
     for cid, count in freq.items():
-        manual = sum(1 for m in ens.models if cid in m.coef)
+        manual = sum(1 for coef in maps if cid in coef)
         assert manual == count
     for size, count in sizes.items():
-        assert count == sum(1 for m in ens.models if m.subset_size == size)
+        assert count == sum(1 for coef in maps if len(coef) == size)
 
 
 def test_worker_count_does_not_change_results():
     _, _, seq = fitted_toy_ensemble(workers=1)
     _, _, par = fitted_toy_ensemble(workers=3)
-    assert len(seq.models) == len(par.models)
-    for a, b in zip(seq.models, par.models):
-        assert a.coef == b.coef
-        assert a.validation_sse == b.validation_sse
-        assert a.intercept == b.intercept
+    assert np.array_equal(seq.coefs, par.coefs)
+    assert np.array_equal(seq.sses, par.sses)
+    assert np.array_equal(seq.intercepts, par.intercepts)
     assert np.array_equal(seq.weights, par.weights)
 
 
@@ -201,7 +225,7 @@ def test_knot_chosen_during_the_pass_equals_select_knot(site_blocks):
     # select_knot must pick the same knot, with the same bits
     data, design, ens = fitted_toy_ensemble(site_blocks=site_blocks)
     plan = make_splits(data, {"A": 9, "B": 8}, n_splits=12, seed=0)
-    for i, (model, resid) in enumerate(zip(ens.models, ens.validation_errors)):
+    for i, resid in enumerate(ens.validation_errors):
         train, valid = plan.combined_split(i)
         X_train, transform = fit_transform(design.subset_rows(train))
         assert not transform.dropped.any()  # the pass pads dropped columns
@@ -209,8 +233,9 @@ def test_knot_chosen_during_the_pass_equals_select_knot(site_blocks):
         ybar = float(y_train.mean())
         path = lar_lasso_path(X_train, y_train - ybar, intercept=ybar)
         X_valid = apply_transform(design.subset_rows(valid), transform)
-        expected, expected_resid = select_knot(path, X_valid, data.response[valid])
-        assert model == expected
+        coef, sse, expected_resid = select_knot(path, X_valid, data.response[valid])
+        assert ens.coefs[i].tobytes() == coef.tobytes()
+        assert ens.sses[i] == sse and ens.intercepts[i] == path.intercept
         assert np.array_equal(resid, expected_resid)
 
 
@@ -218,5 +243,5 @@ def test_each_model_owns_its_transform():
     _, design, ens = fitted_toy_ensemble()
     refs = {t.transform_id for t in ens.transforms}
     assert len(refs) > 1  # different training rows give different constants
-    for model, transform in zip(ens.models, ens.transforms):
-        assert model.transform_ref == transform.transform_id
+    stored = artifacts.ensemble_to_dict(ens)["models"]
+    assert [m["transform_ref"] for m in stored] == [t.transform_id for t in ens.transforms]

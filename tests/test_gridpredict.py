@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _spec_route import members
 from _toys import assembled
 
 from sitelasso.ensemble import Ensemble, linear_form
@@ -12,7 +13,6 @@ from sitelasso.gridpredict import (
     sites_from_raster,
     two_stage_rows,
 )
-from sitelasso.models import SelectedModel
 from sitelasso.pipeline import RunDesigns, run_method2, run_method3, run_method4
 from sitelasso.rasters import RasterGrid, write_ascii_grid, write_ascii_rows
 from sitelasso.splits import make_splits
@@ -46,10 +46,10 @@ def scalar_oracle(ens, rasters, pix):
     cov = {name: np.array([rasters[name].values.ravel()[pix]]) for name in rasters}
     row = build_term_matrix(cov, np.array([""], dtype=object), ens.terms)
     member_vals = []
-    for model, transform in zip(ens.models, ens.transforms):
+    for (intercept, coefs, _), transform in zip(members(ens), ens.transforms):
         pos = {t.term_id: j for j, t in enumerate(transform.terms)}
-        val = model.intercept
-        for cid, coef in model.coef.items():
+        val = intercept
+        for cid, coef in coefs.items():
             j = pos[cid]
             val += coef * (row[0, j] - transform.means[j]) / transform.norms[j]
         member_vals.append(val)
@@ -126,11 +126,9 @@ def test_intercept_only_ensemble_gives_weighted_constant():
     plan = small_plan(data, n_splits=4)
     run = run_method2(RunDesigns(data), plan, workers=1)
     ens = run.ensemble
-    for model in ens.models:
-        model.coef = {}
-        model.subset_size = 0
+    ens.coefs[:] = 0.0
     grid = assembled(*prediction_rows(ens, rasters))
-    expected = float(ens.weights @ np.array([m.intercept for m in ens.models]))
+    expected = float(ens.weights @ ens.intercepts)
     valid = ~grid.nodata_mask()
     assert np.allclose(grid.values[valid], expected, atol=1e-12)
 
@@ -218,13 +216,15 @@ def test_two_stage_raster_skips_stage2_of_a_site_without_pixels():
     run3 = run_method3(RunDesigns(data), plan, workers=1)
     ghost = TermSpec("poly", "ghost")
     unseen = Ensemble(
-        models=[SelectedModel(0.0, {ghost.term_id: 1.0}, 1, 1.0, "")],
+        intercepts=np.zeros(1),
+        coefs=np.ones((1, 1)),
+        sses=np.ones(1),
         transforms=[StandardizationTransform([ghost], [0.0], [1.0], [False], 3)],
         weights=np.ones(1),
         terms=[ghost],
         split_plan_ref="",
-        validation_errors=[],
-        validation_rows=[],
+        validation_errors=[np.zeros(0)],
+        validation_rows=[np.zeros(0, dtype=np.intp)],
     )
     codes = {1.0: "B1", 2.0: "B2"}
     base = assembled(*two_stage_rows(

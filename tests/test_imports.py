@@ -43,3 +43,23 @@ def test_every_module_level_import_is_used(path):
         f"{name} (line {line})" for name, line in module_imports(tree) if name not in used
     )
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_the_package_exports_exactly_what_its_init_imports():
+    # the parametrized check above skips __init__.py, whose imports are read
+    # only through __all__; a name dropped from a module must leave both
+    import sitelasso
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {name for name, _line in module_imports(tree)}
+    assigned = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+    }
+    assert assigned == {"__version__", "__all__"}
+    assert len(sitelasso.__all__) == len(set(sitelasso.__all__))
+    assert set(sitelasso.__all__) == imported
+    for name in sitelasso.__all__:
+        assert hasattr(sitelasso, name), name

@@ -6,7 +6,7 @@ from _spec_route import predict
 
 from sitelasso.artifacts import write_json
 from sitelasso.errors import ConfigError, DataError, NumericalError, TransformMismatchError
-from sitelasso.models import SelectedModel, fit_metrics
+from sitelasso.models import fit_metrics
 from sitelasso.pointdata import PointDataset
 from sitelasso.splits import make_splits, plan_to_dict
 from sitelasso.standardize import StandardizedMatrix
@@ -23,24 +23,24 @@ def matrix(values, ids, ref="xf-test"):
 
 def test_predict_uses_named_columns():
     X = matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), ["a", "b"])
-    model = SelectedModel(0.5, {"b": 2.0}, 1, 0.0, "xf-test")
-    assert np.allclose(predict(model, X), [4.5, 8.5])
+    member = (0.5, {"b": 2.0}, "xf-test")
+    assert np.allclose(predict(member, X), [4.5, 8.5])
 
 
 def test_predict_transform_mismatch_and_missing_column():
     X = matrix(np.ones((3, 1)), ["a"])
-    wrong_ref = SelectedModel(0.0, {"a": 1.0}, 1, 0.0, "xf-other")
+    wrong_ref = (0.0, {"a": 1.0}, "xf-other")
     with pytest.raises(TransformMismatchError):
         predict(wrong_ref, X)
-    missing = SelectedModel(0.0, {"zz": 1.0}, 1, 0.0, "xf-test")
+    missing = (0.0, {"zz": 1.0}, "xf-test")
     with pytest.raises(DataError, match="zz"):
         predict(missing, X)
 
 
 def test_intercept_only_model_predicts_constant():
     X = matrix(np.random.default_rng(0).normal(size=(6, 2)), ["a", "b"])
-    model = SelectedModel(3.25, {}, 0, 1.0, "xf-test")
-    assert np.array_equal(predict(model, X), np.full(6, 3.25))
+    member = (3.25, {}, "xf-test")
+    assert np.array_equal(predict(member, X), np.full(6, 3.25))
 
 
 def test_fit_metrics_known_values():
