@@ -16,6 +16,8 @@ import os
 import shutil
 import sys
 
+import numpy as np
+
 from . import artifacts
 from .config import ENV_OUTPUT_DIR, METHOD_LABELS, load_run_config, load_synth_spec
 from .ensemble import tally_selection, write_selection_csv, write_size_histogram_csv
@@ -122,18 +124,25 @@ def cmd_run(args):
 
     # Every raster fault ends the run here, before anything is fitted or
     # written, whether or not a requested method reads the faulty raster.
-    # Of the site raster only its site names and int8 codes are kept.
+    # Of the site raster only its site names and int8 codes are kept. They
+    # are made before the covariate rasters are read, so its float grid is
+    # freed first: read last, whether its memory went back to the system hung
+    # on where malloc put the codes, about 1 MB of `run`'s peak RSS.
     rasters = pixel_sites = None
     grids = []
+    if config.site_raster:
+        site_grid = read_ascii_grid(config.site_raster)
+        site_codes = dict(config.site_codes) or {1.0: sites[0], 2.0: sites[1]}
+        pixel_sites = sites_from_raster(site_grid, site_codes)
+        # its geometry alone, for the registration check
+        shape = site_grid.values.shape
+        site_grid = site_grid.with_values(np.broadcast_to(site_grid.nodata, shape))
     if config.rasters_dir:
         grids = _read_rasters(config.rasters_dir)
         rasters = {os.path.splitext(os.path.basename(p))[0]: g for p, g in grids}
     if config.site_raster:
-        grids.append((config.site_raster, read_ascii_grid(config.site_raster)))
+        grids.append((config.site_raster, site_grid))
     check_registration(grids)
-    if config.site_raster:
-        site_codes = dict(config.site_codes) or {1.0: sites[0], 2.0: sites[1]}
-        pixel_sites = sites_from_raster(grids.pop()[1], site_codes)
 
     # Expanding the terms rejects a non-finite covariate, and filtering each
     # row set the requested methods train on rejects a design that filters to
