@@ -10,7 +10,8 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .features import MAX_ORDER, MAX_RANK
+from .features import MAX_RANK
+from .terms import MAX_ORDER
 
 ENV_OUTPUT_DIR = "SITELASSO_OUTPUT_DIR"
 
@@ -73,7 +74,7 @@ class RunConfig:
     train_quota: int = 0  # 0 = two thirds of each site's rows
     train_quota_by_site: dict = field(default_factory=dict)
     correlation_threshold: float = 0.95
-    max_order: int = 4
+    max_order: int = MAX_ORDER
     seed: int = 0
     workers: int = 1
     rasters_dir: str = ""
@@ -205,7 +206,7 @@ def load_run_config(path, output_dir_override=None):
         train_quota=_to_int(kv, "train_quota", 0),
         train_quota_by_site=quotas,
         correlation_threshold=_to_float(kv, "correlation_threshold", 0.95),
-        max_order=_to_int(kv, "max_order", 4),
+        max_order=_to_int(kv, "max_order", MAX_ORDER),
         seed=_to_int(kv, "seed", 0),
         workers=_to_int(kv, "workers", 1),
         rasters_dir=kv.get("rasters_dir", ""),

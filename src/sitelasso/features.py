@@ -8,16 +8,15 @@ import numpy as np
 
 from .errors import DataError
 from .pointdata import format_float
-from .terms import RawDesign, TermSpec, evaluate_term
+from .terms import MAX_ORDER, RawDesign, TermSpec, evaluate_term
 
 log = logging.getLogger(__name__)
 
 DEFAULT_RANK = 6
 MAX_RANK = 10
-MAX_ORDER = 4
 
 
-def expand_terms(data, covariates=None, max_order=4):
+def expand_terms(data, covariates=None, max_order=MAX_ORDER):
     """Expand raw covariates into polynomial and interaction columns.
 
     For each covariate, orders 1..max_order of the covariate itself, then
@@ -33,7 +32,7 @@ def expand_terms(data, covariates=None, max_order=4):
         Subset and ordering of covariates to expand; defaults to all of
         ``data.covariate_names``.
     max_order : int
-        Highest polynomial order, 1..4.
+        Highest polynomial order, 1..MAX_ORDER.
 
     Returns
     -------

@@ -12,6 +12,14 @@ site. Term ids are plain strings built so they parse back unambiguously:
 
 The characters ``^ : @ ,`` and whitespace are therefore forbidden in
 covariate names and site ids.
+
+Every term value is a chain of IEEE products: x^2 is x*x, x^3 is (x*x)*x
+and x^4 is (x*x)*(x*x). Each product is rounded exactly once, so a term's
+bits are the same on every CPU, for every block of values it is evaluated
+in, and odd (even) orders are exactly odd (even) in the sign of x. A call
+to ``pow`` would not be: numpy's vector and scalar routes disagree in the
+last bit, and an array with a negative value takes the scalar route, tens
+of times slower than the products.
 """
 
 from dataclasses import dataclass
@@ -21,6 +29,7 @@ import numpy as np
 from .errors import DataError
 
 FORBIDDEN_CHARS = set("^:@,")
+MAX_ORDER = 4  # highest polynomial order; evaluate_term's product chain covers 1..4
 
 
 def validate_identifier(name, what="identifier"):
@@ -39,9 +48,9 @@ class TermSpec:
     """One design column.
 
     kind is "poly" or "inter". For polynomials ``base`` is the covariate and
-    ``order`` is 1..4; for interactions ``base`` and ``other`` are the two
-    covariates and order is 1. ``scope`` is None for a global column or a
-    site id for a site-scoped column.
+    ``order`` is 1..MAX_ORDER; for interactions ``base`` and ``other`` are
+    the two covariates and order is 1. ``scope`` is None for a global column
+    or a site id for a site-scoped column.
     """
 
     kind: str
@@ -54,8 +63,10 @@ class TermSpec:
         if self.kind not in ("poly", "inter"):
             raise DataError(f"unknown term kind {self.kind!r}")
         if self.kind == "poly":
-            if not 1 <= self.order <= 4:
-                raise DataError(f"polynomial order must be in 1..4, got {self.order}")
+            if not 1 <= self.order <= MAX_ORDER:
+                raise DataError(
+                    f"polynomial order must be in 1..{MAX_ORDER}, got {self.order}"
+                )
             if self.other is not None:
                 raise DataError("polynomial terms take a single covariate")
         else:
@@ -128,13 +139,25 @@ def evaluate_term(term, covariate_values):
     -------
     1-d float array. Site scoping is a matrix-level concern and is not
     applied here; see :func:`build_term_matrix`.
+
+    Powers are IEEE products, never ``pow``: x*x, then (x*x)*x for order 3
+    and (x*x)*(x*x) for order 4, taken in place in one new array. Each
+    product is rounded exactly, so the result does not depend on the CPU or
+    on how the values are split into blocks.
     """
     for name in term.covariates:
         if name not in covariate_values:
             raise DataError(f"term {term.term_id} needs missing covariate {name!r}")
     if term.kind == "poly":
         base = np.asarray(covariate_values[term.base], dtype=np.float64)
-        return base if term.order == 1 else base**term.order
+        if term.order == 1:
+            return base
+        power = base * base
+        if term.order == 3:
+            power *= base
+        elif term.order == 4:
+            power *= power
+        return power
     a = np.asarray(covariate_values[term.base], dtype=np.float64)
     b = np.asarray(covariate_values[term.other], dtype=np.float64)
     return a * b

@@ -8,7 +8,13 @@ from _cd_oracle import cd_lasso, kkt_residuals
 from _lars_loop import gram_steps_loop, lar_steps_loop
 
 from sitelasso.errors import CollinearTermsError, DataError
-from sitelasso.lars import gram_system, lar_lasso_path, lockstep_paths, path_flags
+from sitelasso.lars import (
+    LSQ_FLOOR,
+    gram_system,
+    lar_lasso_path,
+    lockstep_paths,
+    path_flags,
+)
 
 
 def standardized_instance(seed, n, p):
@@ -93,6 +99,60 @@ def test_mid_path_degeneracy_truncates_instead_of_aborting(monkeypatch):
     monkeypatch.setattr(lars_mod, "lockstep_paths", degenerate_after(1))
     with pytest.raises(CollinearTermsError, match="degenerate"):
         lar_lasso_path(X, y)
+
+
+def least_squares_tail_instance():
+    # two planted columns and a 1e-9 perturbation: the other four columns
+    # enter at lambda / lambda_0 between 2e-9 and 2e-10, around LSQ_FLOOR
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 6))
+    X -= X.mean(axis=0)
+    X /= np.sqrt((X * X).sum(axis=0))
+    y = X[:, :2] @ np.array([1.0, -0.5]) + 1e-9 * rng.normal(size=30)
+    return X, y - y.mean()
+
+
+def fail_step_after_knot(monkeypatch, last_knot):
+    # the step that would follow knot ``last_knot`` gets a negative
+    # equiangular denominator, as a rank-deficient active set gives
+    import sitelasso.lars as lars_mod
+
+    real = lars_mod._Lockstep.solve
+
+    def solve(self):
+        w, singular = real(self)
+        return np.where((self.n_knots == last_knot + 1)[:, None], -w, w), singular
+
+    monkeypatch.setattr(lars_mod._Lockstep, "solve", solve)
+
+
+def test_a_path_that_degenerates_below_the_floor_ends_as_an_ordinary_end(
+    monkeypatch, caplog
+):
+    X, y = least_squares_tail_instance()
+    full = lar_lasso_path(X, y)
+    ratio = full.lambdas / full.lambdas[0]
+    assert ratio[2] > LSQ_FLOOR >= ratio[3] > 0.0
+    fail_step_after_knot(monkeypatch, 3)
+    path = lar_lasso_path(X, y)
+    assert not path.degenerate_stop and not path.max_steps_reached
+    assert caplog.text == ""
+    # it ends at the same last knot, with every number as on the whole path
+    assert np.array_equal(path.lambdas, full.lambdas[:4])
+    assert np.array_equal(path.coefs, full.coefs[:4])
+    act, inact = kkt_residuals(X, y, path.coefs[-1], path.lambdas[-1])
+    assert act <= 1e-8 and inact <= 1e-8
+
+
+def test_a_path_that_degenerates_just_above_the_floor_still_warns(monkeypatch, caplog):
+    X, y = least_squares_tail_instance()
+    full = lar_lasso_path(X, y)
+    assert LSQ_FLOOR < full.lambdas[2] / full.lambdas[0] <= 2.0 * LSQ_FLOOR
+    fail_step_after_knot(monkeypatch, 2)
+    path = lar_lasso_path(X, y)
+    assert path.degenerate_stop
+    assert "degenerate after 3 knots" in caplog.text
+    assert np.array_equal(path.lambdas, full.lambdas[:3])
 
 
 def test_rejects_unstandardized_and_uncentred():
