@@ -24,7 +24,6 @@ from .errors import (
     DataError,
     NumericalError,
     SiteLassoError,
-    TransformMismatchError,
 )
 from .features import (
     assemble_site_blocks,
@@ -80,7 +79,6 @@ __all__ = [
     "StandardizedMatrix",
     "SyntheticSpec",
     "TermSpec",
-    "TransformMismatchError",
     "apply_transform",
     "assemble_site_blocks",
     "build_term_matrix",

@@ -119,6 +119,7 @@ def cmd_run(args):
     sites = data.sites()
     if len(sites) != 2:
         raise DataError(f"run expects exactly two sites, found {len(sites)}")
+    config.check_sites(sites)
     quotas = {s: _quota_for(config, s, len(data.site_rows(s))) for s in sites}
     plan = make_splits(data, quotas, config.n_splits, config.seed)
 

@@ -1,13 +1,14 @@
 """Plain key-value configuration files for the command-line entry points.
 
 Format: one ``key = value`` pair per line; blank lines and lines starting
-with ``#`` are ignored. Every tunable the pipeline exposes has an explicit
-default here so the effective configuration can be echoed verbatim into the
-run manifest.
+with ``#`` are ignored. A file sets only the keys it holds; every other
+setting keeps the default of its dataclass field (``RunConfig`` here,
+``SyntheticSpec`` for synth spec files), so the effective configuration can
+be echoed verbatim into the run manifest.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .features import MAX_RANK
@@ -41,46 +42,110 @@ def parse_kv_file(path):
     return out
 
 
-def _to_int(kv, key, default):
-    if key not in kv:
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {kv[key]!r}")
+# Each parser reads one file value's text. int and float report a ValueError
+# as a ConfigError naming the key; the others raise their own.
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
-def _to_float(kv, key, default):
-    if key not in kv:
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {kv[key]!r}")
+def _list(text):
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _to_list(value):
-    return [item.strip() for item in value.split(",") if item.strip()]
+def _pairs(key, text, shape):
+    """The ``a:b`` entries of a list as (a, b) string pairs."""
+    for item in _list(text):
+        if ":" not in item:
+            raise ConfigError(f"{key} entries look like '{shape}'")
+        first, _, second = item.partition(":")
+        yield first, second
+
+
+def _site_codes(text):
+    codes = {}
+    for code, name in _pairs("site_codes", text, "1:SITE"):
+        try:
+            codes[float(code)] = name.strip()
+        except ValueError:
+            raise ConfigError(f"site_codes value {code!r} is not a number") from None
+    return codes
+
+
+def _hierarchy(text):
+    ranks = {}
+    for cov, rank in _pairs("hierarchy", text, "covariate:rank"):
+        try:
+            ranks[cov.strip()] = int(rank)
+        except ValueError:
+            raise ConfigError(f"hierarchy rank {rank!r} is not an integer") from None
+    return ranks
+
+
+def _site_names(text):
+    names = tuple(_list(text))
+    if len(names) != 2:
+        raise ConfigError("site_names must list exactly two names")
+    return names
+
+
+def _read(kv, table, kind):
+    """Parse the values of ``kv`` by ``table``, file key -> (target, parser).
+
+    Every key is checked before any value is parsed. A table key that ends
+    in ``.`` names a family: ``<key><name> = value`` sets entry ``name`` of
+    the target's dict. Returns {target: value} for the keys ``kv`` holds.
+    """
+    table_keys = {}
+    for key in kv:
+        prefix, dot, _ = key.partition(".")
+        table_keys[key] = prefix + dot if dot else key
+        if table_keys[key] not in table:
+            if key + "." in table:
+                raise ConfigError(f"key {key!r} needs a suffix, e.g. {key}.cov0")
+            raise ConfigError(f"unknown {kind} key {key!r}")
+    values = {}
+    for key, table_key in table_keys.items():
+        target, parse = table[table_key]
+        try:
+            value = parse(kv[key])
+        except ValueError:
+            raise ConfigError(f"{key} must be {_EXPECTED[parse]}, got {kv[key]!r}") from None
+        if table_key.endswith("."):
+            values.setdefault(target, {})[key[len(table_key) :]] = value
+        else:
+            values[target] = value
+    return values
 
 
 @dataclass
 class RunConfig:
-    """Effective configuration of one ``run`` invocation."""
+    """Effective configuration of one ``run`` invocation.
 
-    points: str
-    output_dir: str
-    methods: list = field(default_factory=lambda: list(METHOD_LABELS))
+    Each field is one setting: the file key of its name, read by its type,
+    or the ``key`` and ``parse`` of its metadata where it has them.
+    """
+
+    points: str = ""
+    output_dir: str = ""
+    methods: list = field(
+        default_factory=lambda: list(METHOD_LABELS), metadata={"parse": _list}
+    )
     n_splits: int = 500
     train_quota: int = 0  # 0 = two thirds of each site's rows
-    train_quota_by_site: dict = field(default_factory=dict)
+    train_quota_by_site: dict = field(
+        default_factory=dict, metadata={"parse": int, "key": "train_quota."}
+    )
     correlation_threshold: float = 0.95
     max_order: int = MAX_ORDER
     seed: int = 0
     workers: int = 1
     rasters_dir: str = ""
     site_raster: str = ""
-    site_codes: dict = field(default_factory=dict)  # raster value -> site name
-    hierarchy: dict = field(default_factory=dict)  # covariate -> rank
+    site_codes: dict = field(  # raster value -> site name
+        default_factory=dict, metadata={"parse": _site_codes}
+    )
+    hierarchy: dict = field(  # covariate -> rank
+        default_factory=dict, metadata={"parse": _hierarchy}
+    )
 
     def validate(self):
         if not self.points:
@@ -120,207 +185,104 @@ class RunConfig:
                 raise ConfigError(f"hierarchy rank for {cov!r} must be 1..{MAX_RANK}")
         return self
 
+    def check_sites(self, sites):
+        """Reject a site name that the points file, with ``sites``, does not have."""
+        named = [("site_codes", name) for name in self.site_codes.values()]
+        named += [(f"train_quota.{site}", site) for site in self.train_quota_by_site]
+        for key, site in named:
+            if site not in sites:
+                raise ConfigError(
+                    f"{key} names site {site!r}, which {self.points} does not have "
+                    f"(its sites: {', '.join(sites)})"
+                )
+
     def echo(self):
-        """JSON-ready view of every effective setting."""
-        return {
-            "points": self.points,
-            "output_dir": self.output_dir,
-            "methods": list(self.methods),
-            "n_splits": self.n_splits,
-            "train_quota": self.train_quota,
-            "train_quota_by_site": dict(sorted(self.train_quota_by_site.items())),
-            "correlation_threshold": self.correlation_threshold,
-            "max_order": self.max_order,
-            "seed": self.seed,
-            "workers": self.workers,
-            "rasters_dir": self.rasters_dir,
-            "site_raster": self.site_raster,
-            "site_codes": {str(k): v for k, v in sorted(self.site_codes.items())},
-            "hierarchy": dict(sorted(self.hierarchy.items())),
-        }
+        """JSON-ready view of every effective setting; dicts sorted, with string keys."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                value = {str(k): v for k, v in sorted(value.items())}
+            out[f.name] = value
+        return out
 
 
-_RUN_KEYS = {
-    "points",
-    "output_dir",
-    "methods",
-    "n_splits",
-    "train_quota",
-    "correlation_threshold",
-    "max_order",
-    "seed",
-    "workers",
-    "rasters_dir",
-    "site_raster",
-    "site_codes",
-    "hierarchy",
+_RUN_SETTINGS = {
+    f.metadata.get("key", f.name): (f.name, f.metadata.get("parse", f.type))
+    for f in fields(RunConfig)
 }
 
 
+def _override_output_dir(values, override):
+    """The command line's output_dir, else the environment's, wins over the file's."""
+    override = override or os.environ.get(ENV_OUTPUT_DIR)
+    if override:
+        values["output_dir"] = override
+
+
 def load_run_config(path, output_dir_override=None):
-    kv = parse_kv_file(path)
-    for key in kv:
-        base = key.split(".", 1)[0]
-        if base not in _RUN_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if "." in key and base != "train_quota":
-            raise ConfigError(f"unknown config key {key!r}")
-    quotas = {}
-    for key, value in kv.items():
-        if key.startswith("train_quota."):
-            site = key.split(".", 1)[1]
-            try:
-                quotas[site] = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-    site_codes = {}
-    if "site_codes" in kv:
-        for item in _to_list(kv["site_codes"]):
-            if ":" not in item:
-                raise ConfigError("site_codes entries look like '1:SITE'")
-            code, _, name = item.partition(":")
-            try:
-                site_codes[float(code)] = name.strip()
-            except ValueError:
-                raise ConfigError(f"site_codes value {code!r} is not a number")
-    hierarchy = {}
-    if "hierarchy" in kv:
-        for item in _to_list(kv["hierarchy"]):
-            if ":" not in item:
-                raise ConfigError("hierarchy entries look like 'covariate:rank'")
-            cov, _, rank = item.partition(":")
-            try:
-                hierarchy[cov.strip()] = int(rank)
-            except ValueError:
-                raise ConfigError(f"hierarchy rank {rank!r} is not an integer")
-    output_dir = (
-        output_dir_override
-        or os.environ.get(ENV_OUTPUT_DIR, "")
-        or kv.get("output_dir", "")
-    )
-    config = RunConfig(
-        points=kv.get("points", ""),
-        output_dir=output_dir,
-        methods=_to_list(kv["methods"]) if "methods" in kv else list(METHOD_LABELS),
-        n_splits=_to_int(kv, "n_splits", 500),
-        train_quota=_to_int(kv, "train_quota", 0),
-        train_quota_by_site=quotas,
-        correlation_threshold=_to_float(kv, "correlation_threshold", 0.95),
-        max_order=_to_int(kv, "max_order", MAX_ORDER),
-        seed=_to_int(kv, "seed", 0),
-        workers=_to_int(kv, "workers", 1),
-        rasters_dir=kv.get("rasters_dir", ""),
-        site_raster=kv.get("site_raster", ""),
-        site_codes=site_codes,
-        hierarchy=hierarchy,
-    )
-    return config.validate()
+    values = _read(parse_kv_file(path), _RUN_SETTINGS, "config")
+    _override_output_dir(values, output_dir_override)
+    return RunConfig(**values).validate()
 
 
-_SYNTH_KEYS = {
-    "output_dir",
-    "seed",
-    "n_site1",
-    "n_site2",
-    "site_names",
-    "n_covariates",
-    "length_scale",
-    "noise_sd",
-    "intercept",
-    "ncols",
-    "nrows",
-    "cellsize",
-    "xllcorner",
-    "yllcorner",
-    "gap_cols",
-    "coef",
-    "site_coef",
-    "shift",
-    "scale",
+# synth spec file key -> (SyntheticSpec field, default_fields argument or
+# FieldSpec field, parser); shift.<covariate> and scale.<covariate> set the
+# site-1 transform of that covariate's field
+_SYNTH_SETTINGS = {
+    "output_dir": ("output_dir", str),
+    "seed": ("seed", int),
+    "n_site1": ("n_site1", int),
+    "n_site2": ("n_site2", int),
+    "site_names": ("site_names", _site_names),
+    "n_covariates": ("n_fields", int),
+    "length_scale": ("length_scale", float),
+    "noise_sd": ("noise_sd", float),
+    "intercept": ("intercept", float),
+    "ncols": ("ncols", int),
+    "nrows": ("nrows", int),
+    "cellsize": ("cellsize", float),
+    "xllcorner": ("xll", float),
+    "yllcorner": ("yll", float),
+    "gap_cols": ("gap_cols", int),
+    "coef.": ("coef_global", float),
+    "site_coef.": ("coef_site", float),
+    "shift.": ("site1_shift", float),
+    "scale.": ("site1_scale", float),
 }
 
 
 def load_synth_spec(path, output_dir_override=None):
     """Read a generator spec file; returns (SyntheticSpec, output_dir)."""
-    from .synthetic import FieldSpec, SyntheticSpec, default_fields
+    from .synthetic import SyntheticSpec, default_fields
 
-    kv = parse_kv_file(path)
-    for key in kv:
-        base = key.split(".", 1)[0]
-        if base not in _SYNTH_KEYS:
-            raise ConfigError(f"unknown spec key {key!r}")
-        if "." not in key and base in {"coef", "site_coef", "shift", "scale"}:
-            raise ConfigError(f"key {key!r} needs a suffix, e.g. {key}.cov0")
-    site_names = tuple(_to_list(kv["site_names"])) if "site_names" in kv else ("B1", "B2")
-    if len(site_names) != 2:
-        raise ConfigError("site_names must list exactly two names")
-    n_cov = _to_int(kv, "n_covariates", 6)
-    if n_cov < 1:
-        raise ConfigError("n_covariates must be >= 1")
-    length_scale = _to_float(kv, "length_scale", 150.0)
-    fields = list(default_fields(n_cov, length_scale=length_scale))
-    shift = {}
-    scale = {}
-    coef_global = {}
-    coef_site = {}
-    for key, value in kv.items():
-        if key.startswith("shift."):
-            shift[key.split(".", 1)[1]] = _to_float({key: value}, key, None)
-        elif key.startswith("scale."):
-            scale[key.split(".", 1)[1]] = _to_float({key: value}, key, None)
-        elif key.startswith("coef."):
-            coef_global[key.split(".", 1)[1]] = _to_float({key: value}, key, None)
-        elif key.startswith("site_coef."):
-            rest = key.split(".", 1)[1]
-            if "." not in rest:
-                raise ConfigError(f"{key!r} should be site_coef.<site>.<term>")
-            site, _, term = rest.partition(".")
-            coef_site.setdefault(site, {})[term] = _to_float({key: value}, key, None)
-    by_name = {f.name: f for f in fields}
-    for name in list(shift) + list(scale):
-        if name not in by_name:
-            raise ConfigError(f"shift/scale names unknown covariate {name!r}")
-    fields = [
-        FieldSpec(
-            name=f.name,
-            length_scale=f.length_scale,
-            amplitude=f.amplitude,
-            site1_shift=shift.get(f.name, 0.0),
-            site1_scale=scale.get(f.name, 1.0),
-            n_waves=f.n_waves,
-        )
-        for f in fields
-    ]
-    kwargs = {
-        "seed": _to_int(kv, "seed", 0),
-        "n_site1": _to_int(kv, "n_site1", 60),
-        "n_site2": _to_int(kv, "n_site2", 56),
-        "site_names": site_names,
-        "fields": tuple(fields),
-        "noise_sd": _to_float(kv, "noise_sd", 0.3),
-        "intercept": _to_float(kv, "intercept", 1.2),
-        "ncols": _to_int(kv, "ncols", 50),
-        "nrows": _to_int(kv, "nrows", 44),
-        "cellsize": _to_float(kv, "cellsize", 25.0),
-        "xll": _to_float(kv, "xllcorner", 0.0),
-        "yll": _to_float(kv, "yllcorner", 0.0),
-        "gap_cols": _to_int(kv, "gap_cols", 2),
-    }
-    if coef_global:
-        kwargs["coef_global"] = coef_global
-    if coef_site:
-        kwargs["coef_site"] = coef_site
-    elif coef_global:
-        kwargs["coef_site"] = {}
-    elif site_names != ("B1", "B2"):
-        # keep the built-in default truth usable under renamed sites
-        kwargs["coef_site"] = {site_names[1]: {"cov2": 1.0}}
-    spec = SyntheticSpec(**kwargs)
-    output_dir = (
-        output_dir_override
-        or os.environ.get(ENV_OUTPUT_DIR, "")
-        or kv.get("output_dir", "")
-    )
+    values = _read(parse_kv_file(path), _SYNTH_SETTINGS, "spec")
+    field_args = {k: values.pop(k) for k in ("n_fields", "length_scale") if k in values}
+    by_field = {}
+    for attr in ("site1_shift", "site1_scale"):
+        for name, value in values.pop(attr, {}).items():
+            by_field.setdefault(name, {})[attr] = value
+    if field_args or by_field:
+        covariates = default_fields(**field_args)
+        if not covariates:
+            raise ConfigError("n_covariates must be >= 1")
+        known = {f.name for f in covariates}
+        for name in by_field:
+            if name not in known:
+                raise ConfigError(f"shift/scale names unknown covariate {name!r}")
+        values["fields"] = tuple(replace(f, **by_field.get(f.name, {})) for f in covariates)
+    if "coef_site" in values:
+        coef_site = {}
+        for site_term, coef in values["coef_site"].items():
+            site, dot, term = site_term.partition(".")
+            if not dot:
+                raise ConfigError(f"'site_coef.{site_term}' should be site_coef.<site>.<term>")
+            coef_site.setdefault(site, {})[term] = coef
+        values["coef_site"] = coef_site
+    elif "coef_global" in values:
+        values["coef_site"] = {}  # planted global terms alone: no site truth
+    _override_output_dir(values, output_dir_override)
+    output_dir = values.pop("output_dir", None)
     if not output_dir:
         raise ConfigError("output_dir is required")
-    return spec, output_dir
+    return SyntheticSpec(**values), output_dir

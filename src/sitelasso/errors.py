@@ -23,7 +23,3 @@ class NumericalError(SiteLassoError):
 
 class CollinearTermsError(NumericalError):
     """Exactly collinear columns entered the active set."""
-
-
-class TransformMismatchError(NumericalError):
-    """A model was asked to predict from a matrix built with a different transform."""

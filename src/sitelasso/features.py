@@ -16,21 +16,18 @@ DEFAULT_RANK = 6
 MAX_RANK = 10
 
 
-def expand_terms(data, covariates=None, max_order=MAX_ORDER):
+def expand_terms(data, max_order=MAX_ORDER):
     """Expand raw covariates into polynomial and interaction columns.
 
     For each covariate, orders 1..max_order of the covariate itself, then
     every pairwise product of linear terms. With p covariates and the default
     max_order this yields 4p + p(p-1)/2 columns. Column order is polynomials
-    grouped by covariate (covariates in the given order, order ascending)
+    grouped by covariate (covariates in file order, order ascending)
     followed by interactions in pair order (i < j by covariate position).
 
     Parameters
     ----------
     data : PointDataset
-    covariates : list of str, optional
-        Subset and ordering of covariates to expand; defaults to all of
-        ``data.covariate_names``.
     max_order : int
         Highest polynomial order, 1..MAX_ORDER.
 
@@ -40,7 +37,7 @@ def expand_terms(data, covariates=None, max_order=MAX_ORDER):
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise DataError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
-    names = list(data.covariate_names) if covariates is None else list(covariates)
+    names = list(data.covariate_names)
     if not names:
         raise DataError("no covariates to expand")
     columns = {}

@@ -261,13 +261,9 @@ class PointDataset:
             raise DataError(f"no covariate named {name!r}") from None
         return self.covariate_values[:, j]
 
-    def covariate_map(self, row_indices=None):
-        """Covariate name -> 1-d array mapping, optionally row-subset."""
-        if row_indices is None:
-            block = self.covariate_values
-        else:
-            block = self.covariate_values[np.asarray(row_indices, dtype=np.intp)]
-        return {name: block[:, j] for j, name in enumerate(self.covariate_names)}
+    def covariate_map(self):
+        """Covariate name -> 1-d array mapping."""
+        return {name: self.covariate_values[:, j] for j, name in enumerate(self.covariate_names)}
 
     def subset(self, row_indices):
         idx = np.asarray(row_indices, dtype=np.intp)

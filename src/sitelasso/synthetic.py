@@ -13,7 +13,7 @@ only the noise level rescales, rather than redraws, the noise.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class FieldSpec:
     n_waves: int = 32
 
 
-def default_fields(n_fields, length_scale=150.0):
+def default_fields(n_fields=6, length_scale=FieldSpec.length_scale):
     """n_fields plain fields named cov0..cov{n-1} with staggered scales."""
     return tuple(
         FieldSpec(name=f"cov{i}", length_scale=length_scale * (1.0 + 0.35 * (i % 4)))
@@ -55,7 +55,7 @@ class SyntheticSpec:
     n_site1: int = 60
     n_site2: int = 56
     site_names: tuple = ("B1", "B2")
-    fields: tuple = field(default_factory=lambda: default_fields(6))
+    fields: tuple = field(default_factory=default_fields)
     intercept: float = 1.2
     coef_global: dict = field(
         default_factory=lambda: {
@@ -65,7 +65,7 @@ class SyntheticSpec:
             "cov0:cov1": 0.6,
         }
     )
-    coef_site: dict = field(default_factory=lambda: {"B2": {"cov2": 1.0}})
+    coef_site: dict = None  # None: cov2 = 1.0 on the second site
     noise_sd: float = 0.3
     ncols: int = 50
     nrows: int = 44
@@ -74,6 +74,12 @@ class SyntheticSpec:
     yll: float = 0.0
     gap_cols: int = 2
     nodata: float = DEFAULT_NODATA
+
+    def __post_init__(self):
+        if self.coef_site is None:
+            # the second site's; a spec without one fails validation instead
+            truth = {site: {"cov2": 1.0} for site in self.site_names[1:2]}
+            object.__setattr__(self, "coef_site", truth)
 
 
 def _validate_spec(spec):
@@ -278,17 +284,7 @@ def generate_synthetic(spec):
             for site, coefs in sorted(spec.coef_site.items())
         },
         "noise_sd": spec.noise_sd,
-        "fields": [
-            {
-                "name": f.name,
-                "length_scale": f.length_scale,
-                "amplitude": f.amplitude,
-                "site1_shift": f.site1_shift,
-                "site1_scale": f.site1_scale,
-                "n_waves": f.n_waves,
-            }
-            for f in spec.fields
-        ],
+        "fields": [asdict(f) for f in spec.fields],
         "grid": {
             "ncols": spec.ncols,
             "nrows": spec.nrows,

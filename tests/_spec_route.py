@@ -8,7 +8,7 @@ is specified, so tests can check the collapsed form against it.
 
 import numpy as np
 
-from sitelasso.errors import DataError, TransformMismatchError
+from sitelasso.errors import DataError
 from sitelasso.standardize import StandardizedMatrix
 
 
@@ -39,7 +39,7 @@ def predict(member, X):
     if not isinstance(X, StandardizedMatrix):
         raise DataError("predict needs a StandardizedMatrix")
     if X.transform_ref != transform_ref:
-        raise TransformMismatchError(
+        raise DataError(
             f"matrix was built with transform {X.transform_ref!r}, "
             f"member expects {transform_ref!r}"
         )

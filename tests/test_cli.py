@@ -474,6 +474,35 @@ def test_site_raster_faults_end_with_one_line_and_exit_code_3(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "site_codes, extra, culprit",
+    [
+        ("1: b1, 2: B2", "", "error: site_codes names site 'b1', which "),
+        ("1: B1, 2: B2", "train_quota.b1 = 3\n", "error: train_quota.b1 names site 'b1', which "),
+    ],
+    ids=["site_codes", "train_quota"],
+)
+def test_a_site_the_points_file_lacks_ends_run_with_exit_code_2(
+    quickstart_data, tmp_path, capsys, site_codes, extra, culprit
+):
+    # 'b1' is a typo for B1: unchecked, b1 pixels would get the intercept of
+    # no scoped site, and the quota would be ignored
+    cfg = quickstart_config(
+        tmp_path, "run_quickstart.cfg", points=quickstart_data / "points.csv",
+        output_dir=tmp_path / "run", methods="m4", n_splits=8,
+        rasters_dir=quickstart_data / "rasters", site_raster=quickstart_data / "site.asc",
+        site_codes=site_codes,
+    )
+    with open(cfg, "a", encoding="utf-8") as handle:
+        handle.write(extra)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(culprit)
+    assert err[0].endswith("points.csv does not have (its sites: B1, B2)")
+    assert not (tmp_path / "run").exists()
+
+
 def _edit_lines(path, edit):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(edit(lines)))

@@ -1,13 +1,17 @@
+from dataclasses import asdict, fields, replace
+
 import pytest
 
 from sitelasso.config import (
     ENV_OUTPUT_DIR,
     METHOD_LABELS,
+    RunConfig,
     load_run_config,
     load_synth_spec,
     parse_kv_file,
 )
 from sitelasso.errors import ConfigError
+from sitelasso.synthetic import SyntheticSpec, default_fields
 
 
 @pytest.fixture()
@@ -166,24 +170,54 @@ class TestRunConfig:
             load_run_config(cfg)
 
     def test_echo_round_trips_everything(self, tmp_path, points_file):
+        site_raster = write_cfg(tmp_path, "", "site.asc")
         cfg = write_cfg(
             tmp_path,
-            f"points = {points_file}\noutput_dir = {tmp_path}\n"
-            "n_splits = 7\nseed = 3\nworkers = 2\nsite_codes = 1:B1,2:B2\n",
+            f"points = {points_file}\noutput_dir = {tmp_path}/run\nmethods = m4, m2\n"
+            "n_splits = 7\ntrain_quota = 5\ntrain_quota.B2 = 4\n"
+            "correlation_threshold = 0.9\nmax_order = 3\nseed = 3\nworkers = 2\n"
+            f"rasters_dir = {tmp_path}\nsite_raster = {site_raster}\n"
+            "site_codes = 2:B2, 1:B1\nhierarchy = cov1:2, cov0:1\n",
         )
         echo = load_run_config(cfg).echo()
-        assert echo["n_splits"] == 7
-        assert echo["seed"] == 3
-        assert echo["workers"] == 2
-        assert echo["site_codes"] == {"1.0": "B1", "2.0": "B2"}
-        assert set(echo) >= {
-            "points",
-            "output_dir",
-            "methods",
-            "train_quota",
-            "correlation_threshold",
-            "max_order",
+        assert echo == {
+            "points": str(points_file),
+            "output_dir": f"{tmp_path}/run",
+            "methods": ["m4", "m2"],
+            "n_splits": 7,
+            "train_quota": 5,
+            "train_quota_by_site": {"B2": 4},
+            "correlation_threshold": 0.9,
+            "max_order": 3,
+            "seed": 3,
+            "workers": 2,
+            "rasters_dir": str(tmp_path),
+            "site_raster": str(site_raster),
+            "site_codes": {"1.0": "B1", "2.0": "B2"},
+            "hierarchy": {"cov0": 1, "cov1": 2},
         }
+        # one entry per setting, each set away from its default
+        assert list(echo) == [f.name for f in fields(RunConfig)]
+        default = RunConfig().echo()
+        assert [k for k in echo if echo[k] == default[k]] == []
+
+    def test_unknown_keys_are_reported_before_any_value_is_parsed(self, tmp_path, points_file):
+        cfg = write_cfg(
+            tmp_path,
+            f"points = {points_file}\noutput_dir = {tmp_path}\nn_splits = lots\nbogus = 1\n",
+        )
+        with pytest.raises(ConfigError, match="^unknown config key 'bogus'$"):
+            load_run_config(cfg)
+
+    def test_site_names_must_be_sites_of_the_points_file(self):
+        # a site raster may cover one site, so site_codes may name only some
+        RunConfig(site_codes={1.0: "B1"}, train_quota_by_site={"B2": 3}).check_sites(["B1", "B2"])
+        for config, key in [
+            (RunConfig(site_codes={1.0: "B1", 2.0: "b2"}), "site_codes"),
+            (RunConfig(train_quota_by_site={"B1": 3, "b2": 3}), "train_quota.b2"),
+        ]:
+            with pytest.raises(ConfigError, match=rf"^{key} names site 'b2', "):
+                config.check_sites(["B1", "B2"])
 
 
 class TestSynthSpec:
@@ -194,6 +228,42 @@ class TestSynthSpec:
         assert spec.n_site1 == 60 and spec.n_site2 == 56
         assert spec.site_names == ("B1", "B2")
         assert len(spec.fields) == 6
+
+    def test_a_file_with_only_output_dir_loads_the_library_defaults(self, tmp_path):
+        cfg = write_cfg(tmp_path, f"output_dir = {tmp_path}/out\n", "synth.cfg")
+        assert load_synth_spec(cfg)[0] == SyntheticSpec()
+
+    def test_every_key_parses_to_its_value_and_type(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            f"output_dir = {tmp_path}\nseed = 3\nn_site1 = 10\nn_site2 = 12\n"
+            "site_names = North, South\nn_covariates = 2\nlength_scale = 90\n"
+            "noise_sd = 0.5\nintercept = 2\nncols = 20\nnrows = 8\ncellsize = 5\n"
+            "xllcorner = 100\nyllcorner = -50\ngap_cols = 3\ncoef.cov0 = 1\n"
+            "site_coef.South.cov1 = 0.25\nshift.cov1 = 0.5\nscale.cov0 = 2\n",
+            "synth.cfg",
+        )
+        spec, _ = load_synth_spec(cfg)
+        cov0, cov1 = default_fields(2, length_scale=90.0)
+        expected = SyntheticSpec(
+            seed=3, n_site1=10, n_site2=12, site_names=("North", "South"),
+            fields=(replace(cov0, site1_scale=2.0), replace(cov1, site1_shift=0.5)),
+            intercept=2.0, coef_global={"cov0": 1.0}, coef_site={"South": {"cov1": 0.25}},
+            noise_sd=0.5, ncols=20, nrows=8, cellsize=5.0, xll=100.0, yll=-50.0, gap_cols=3,
+        )
+        assert spec == expected
+        types = [type(getattr(spec, f.name)) for f in fields(spec)]
+        assert types == [type(getattr(expected, f.name)) for f in fields(expected)]
+        assert [type(v) for f in spec.fields for v in asdict(f).values()] == (
+            [str, float, float, float, float, int] * 2
+        )
+
+    def test_unknown_keys_are_reported_before_any_value_is_parsed(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path, f"output_dir = {tmp_path}\nseed = x\nwibble = 3\n", "synth.cfg"
+        )
+        with pytest.raises(ConfigError, match="^unknown spec key 'wibble'$"):
+            load_synth_spec(cfg)
 
     def test_output_dir_required(self, tmp_path):
         cfg = write_cfg(tmp_path, "seed = 1\n", "synth.cfg")

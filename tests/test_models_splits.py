@@ -5,7 +5,7 @@ import pytest
 from _spec_route import predict
 
 from sitelasso.artifacts import write_json
-from sitelasso.errors import ConfigError, DataError, NumericalError, TransformMismatchError
+from sitelasso.errors import ConfigError, DataError, NumericalError
 from sitelasso.models import fit_metrics
 from sitelasso.pointdata import PointDataset
 from sitelasso.splits import make_splits, plan_to_dict
@@ -30,7 +30,7 @@ def test_predict_uses_named_columns():
 def test_predict_transform_mismatch_and_missing_column():
     X = matrix(np.ones((3, 1)), ["a"])
     wrong_ref = (0.0, {"a": 1.0}, "xf-other")
-    with pytest.raises(TransformMismatchError):
+    with pytest.raises(DataError, match="built with transform 'xf-test', member expects 'xf-other'"):
         predict(wrong_ref, X)
     missing = (0.0, {"zz": 1.0}, "xf-test")
     with pytest.raises(DataError, match="zz"):

@@ -144,6 +144,16 @@ def test_grid_fields_equal_the_field_over_the_flattened_mesh():
         assert np.array_equal(got.ravel().view(np.int64), flat.view(np.int64)), f.name
 
 
+def test_the_default_site_truth_follows_the_site_names():
+    # a default keyed by B2 would be a site block for an unknown site
+    spec = SyntheticSpec(site_names=("North", "South"))
+    truth = generate_synthetic(spec)[3]
+    assert truth["coef_site"] == {"South": {"cov2": 1.0}}
+    assert SyntheticSpec().coef_site == {"B2": {"cov2": 1.0}}
+    # a planted global truth alone keeps the default site truth
+    assert SyntheticSpec(coef_global={"cov0": 1.0}).coef_site == {"B2": {"cov2": 1.0}}
+
+
 @pytest.mark.parametrize(
     "kwargs, match",
     [
