@@ -133,8 +133,7 @@ def cmd_run(args):
     grids = []
     if config.site_raster:
         site_grid = read_ascii_grid(config.site_raster)
-        site_codes = dict(config.site_codes) or {1.0: sites[0], 2.0: sites[1]}
-        pixel_sites = sites_from_raster(site_grid, site_codes)
+        pixel_sites = sites_from_raster(site_grid, config.site_codes)
         # its geometry alone, for the registration check
         shape = site_grid.values.shape
         site_grid = site_grid.with_values(np.broadcast_to(site_grid.nodata, shape))

@@ -180,6 +180,9 @@ class RunConfig:
             raise ConfigError(f"rasters_dir not found: {self.rasters_dir}")
         if self.site_raster and not os.path.exists(self.site_raster):
             raise ConfigError(f"site_raster not found: {self.site_raster}")
+        if self.site_raster and not self.site_codes:
+            # a site raster's codes cannot be read off the points file
+            raise ConfigError("site_raster needs site_codes, e.g. site_codes = 1: B1, 2: B2")
         for cov, rank in self.hierarchy.items():
             if not 1 <= rank <= MAX_RANK:
                 raise ConfigError(f"hierarchy rank for {cov!r} must be 1..{MAX_RANK}")

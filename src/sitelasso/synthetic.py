@@ -1,11 +1,14 @@
 """Seeded synthetic two-site datasets with known ground truth.
 
-Covariates are smooth random-Fourier fields evaluated both at sampled point
-locations and on a co-registered raster grid, so point and raster views of a
-covariate agree by construction. The study area is split into a left and a
-right site region separated by a nodata gap; per-field shift and scale knobs
-applied only inside the first site's region create controllable
-between-site support offsets (wider, narrower, or disjoint value ranges).
+Covariates are smooth random-Fourier fields (Rahimi and Recht, NIPS 2007),
+sums of cosine waves, evaluated both at sampled point locations and on a
+co-registered raster grid. A point evaluates each wave at the point; the grid
+splits each wave into a column and a row factor by angle addition, so point
+and raster views of a covariate agree to rounding. The study area is split
+into a left and a right site region separated by a nodata gap; per-field
+shift and scale knobs applied only inside the first site's region create
+controllable between-site support offsets (wider, narrower, or disjoint value
+ranges).
 
 Everything is a pure function of the spec: same spec, same bytes. The noise
 realization is drawn as unit normals and multiplied by noise_sd, so changing
@@ -82,7 +85,34 @@ class SyntheticSpec:
             object.__setattr__(self, "coef_site", truth)
 
 
+def _finite_settings(spec):
+    """(name in error messages, value) of every float setting of ``spec``."""
+    yield from (
+        ("noise_sd", spec.noise_sd),
+        ("intercept", spec.intercept),
+        ("cellsize", spec.cellsize),
+        ("xllcorner", spec.xll),
+        ("yllcorner", spec.yll),
+        ("nodata", spec.nodata),
+    )
+    for f in spec.fields:
+        yield f"field {f.name}: length_scale", f.length_scale
+        yield f"field {f.name}: amplitude", f.amplitude
+        yield f"shift.{f.name}", f.site1_shift
+        yield f"scale.{f.name}", f.site1_scale
+    for term_id, coef in spec.coef_global.items():
+        yield f"coef.{term_id}", coef
+    for site, coefs in spec.coef_site.items():
+        for term_id, coef in coefs.items():
+            yield f"site_coef.{site}.{term_id}", coef
+
+
 def _validate_spec(spec):
+    for key, value in _finite_settings(spec):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+    if spec.cellsize <= 0:
+        raise ConfigError(f"cellsize must be positive, got {spec.cellsize}")
     if spec.n_site1 < 1 or spec.n_site2 < 1:
         raise ConfigError("both sites need at least one observation")
     if len(spec.fields) == 0:
@@ -149,21 +179,20 @@ def _eval_field(spec_field, waves, x, y, in_site1):
     return out
 
 
-def _eval_grid_field(spec_field, waves, gx, gy, site1_cols, buffer):
-    """``_eval_field`` over the cell-centre mesh of ``gx`` and ``gy``.
+def _eval_grid_field(spec_field, waves, gx, gy, site1_cols):
+    """``_eval_field`` over the cell-centre mesh of ``gx`` and ``gy``, to rounding.
 
-    Each wave adds the column products ``wx[k] * gx`` to the row products
-    ``wy[k] * gy`` in ``buffer``, an (nrows, ncols) array reused across
-    waves: the operations and operands of ``_eval_field`` over the flattened
-    mesh, so the bits are the same. Site 1 holds the first ``site1_cols``
-    columns.
+    Wave k's argument splits into a column part a = wx[k] * gx + phase[k] and
+    a row part b = wy[k] * gy, and cos(a + b) = cos b cos a - sin b sin a. The
+    sum over the K waves is then one (nrows, 2K) @ (2K, ncols) product of
+    [cos b, sin b] and [cos a; -sin a]: 2K (nrows + ncols) sines and cosines
+    instead of K nrows ncols. Site 1 holds the first ``site1_cols`` columns.
     """
-    base = np.zeros_like(buffer)
-    for k in range(spec_field.n_waves):
-        np.add(waves.wx[k] * gx, (waves.wy[k] * gy)[:, None], out=buffer)
-        buffer += waves.phase[k]
-        np.cos(buffer, out=buffer)
-        base += buffer
+    a = np.multiply.outer(waves.wx, gx) + waves.phase[:, None]
+    b = np.multiply.outer(waves.wy, gy)
+    rows = np.vstack([np.cos(b), np.sin(b)])
+    cols = np.vstack([np.cos(a), -np.sin(a)])
+    base = rows.T @ cols
     base *= spec_field.amplitude * math.sqrt(2.0 / spec_field.n_waves)
     if spec_field.site1_scale != 1.0 or spec_field.site1_shift != 0.0:
         site1 = base[:, :site1_cols]
@@ -263,9 +292,8 @@ def generate_synthetic(spec):
             values=values,
         )
 
-    buffer = np.empty((spec.nrows, spec.ncols))
     rasters = {
-        f.name: _grid(_eval_grid_field(f, w, gx, gy, left_cols, buffer))
+        f.name: _grid(_eval_grid_field(f, w, gx, gy, left_cols))
         for f, w in zip(spec.fields, waves)
     }
 

@@ -503,6 +503,56 @@ def test_a_site_the_points_file_lacks_ends_run_with_exit_code_2(
     assert not (tmp_path / "run").exists()
 
 
+def test_a_site_raster_without_site_codes_ends_run_with_exit_code_2(tmp_path, capsys):
+    # synth codes South, its first site name, as 1; coded by the points
+    # file's sorted sites (North first), every pixel would get the other
+    # site's terms
+    data = tmp_path / "data"
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(f"seed = 3\nsite_names = South, North\nn_covariates = 3\noutput_dir = {data}\n")
+    assert main(["synth", str(spec)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"points = {data / 'points.csv'}\noutput_dir = {tmp_path / 'run'}\nmethods = m4\n"
+        f"n_splits = 8\nrasters_dir = {data / 'rasters'}\nsite_raster = {data / 'site.asc'}\n"
+    )
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: site_raster needs site_codes")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, culprit",
+    [
+        ("cellsize = -3", "cellsize must be positive, got -3.0"),
+        ("cellsize = 0", "cellsize must be positive, got 0.0"),
+        ("cellsize = nan", "cellsize must be finite, got nan"),
+        ("cellsize = inf", "cellsize must be finite, got inf"),
+        ("noise_sd = nan", "noise_sd must be finite, got nan"),
+        ("noise_sd = inf", "noise_sd must be finite, got inf"),
+        ("intercept = nan", "intercept must be finite, got nan"),
+        ("length_scale = nan", "field cov0: length_scale must be finite, got nan"),
+        ("length_scale = inf", "field cov0: length_scale must be finite, got inf"),
+        ("coef.cov0 = nan", "coef.cov0 must be finite, got nan"),
+        ("scale.cov0 = nan", "scale.cov0 must be finite, got nan"),
+        ("shift.cov0 = inf", "shift.cov0 must be finite, got inf"),
+        ("xllcorner = -inf", "xllcorner must be finite, got -inf"),
+    ],
+)
+def test_a_non_finite_or_non_positive_synth_setting_ends_with_exit_code_2(
+    tmp_path, capsys, setting, culprit
+):
+    out = tmp_path / "data"
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(f"n_covariates = 3\nncols = 16\nnrows = 12\n{setting}\noutput_dir = {out}\n")
+    assert main(["synth", str(spec)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {culprit}"]
+    assert not out.exists()
+
+
 def _edit_lines(path, edit):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(edit(lines)))

@@ -112,7 +112,7 @@ def test_points_agree_with_field_rasters_at_pixel_scale():
     assert np.max(np.abs(looked_up - pts.covariate("cov0"))) < 0.2 * max(spread, 1e-9)
 
 
-def test_grid_fields_equal_the_field_over_the_flattened_mesh():
+def test_grid_fields_match_the_field_over_the_flattened_mesh():
     spec = SyntheticSpec(
         seed=11,
         fields=(
@@ -141,7 +141,29 @@ def test_grid_fields_equal_the_field_over_the_flattened_mesh():
         flat = _eval_field(f, w, mesh_x.ravel(), mesh_y.ravel(), in_site1.ravel())
         got = rasters[f.name].values
         assert got.shape == (spec.nrows, spec.ncols)
-        assert np.array_equal(got.ravel().view(np.int64), flat.view(np.int64)), f.name
+        # the grid sums the waves by angle addition, so equal to rounding
+        np.testing.assert_allclose(got.ravel(), flat, rtol=0, atol=1e-13, err_msg=f.name)
+
+
+def test_grid_fields_take_sines_and_cosines_per_row_and_column_not_per_cell(monkeypatch):
+    spec = SyntheticSpec(
+        seed=5, fields=default_fields(5), n_site1=3, n_site2=3, ncols=400, nrows=300, cellsize=3.0
+    )
+    counted = []
+
+    def counting(ufunc):
+        def call(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return ufunc(x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "cos", counting(np.cos))
+    monkeypatch.setattr(np, "sin", counting(np.sin))
+    generate_synthetic(spec)
+    n_points = spec.n_site1 + spec.n_site2
+    # the points take one cosine per point per wave
+    budget = sum(f.n_waves * (n_points + 2 * (spec.nrows + spec.ncols)) for f in spec.fields)
+    assert sum(counted) <= budget
 
 
 def test_the_default_site_truth_follows_the_site_names():
@@ -164,6 +186,10 @@ def test_the_default_site_truth_follows_the_site_names():
         (dict(ncols=3, gap_cols=2), "too narrow"),
         (dict(coef_global={"nope": 1.0}), "unknown covariate"),
         (dict(coef_site={"ZZ": {"cov0": 1.0}}), "unknown site"),
+        (dict(cellsize=0.0), "cellsize must be positive"),
+        (dict(nodata=float("nan")), "nodata must be finite"),
+        (dict(fields=(FieldSpec("cov0", amplitude=float("inf")),)), "cov0: amplitude must be finite"),
+        (dict(coef_site={"B2": {"cov2": float("nan")}}), "site_coef.B2.cov2 must be finite"),
     ],
 )
 def test_degenerate_specs_error(kwargs, match):
