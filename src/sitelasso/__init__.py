@@ -49,13 +49,12 @@ from .rasters import RasterGrid, read_ascii_grid, write_ascii_grid
 from .splits import SplitPlan, make_splits
 from .standardize import (
     StandardizationTransform,
-    StandardizedMatrix,
     apply_transform,
     check_standardized,
     fit_transform,
 )
 from .synthetic import FieldSpec, SyntheticSpec, generate_synthetic
-from .terms import RawDesign, TermSpec, build_term_matrix, parse_term_id
+from .terms import RawDesign, TermSpec, parse_term_id
 
 __version__ = "0.1.0"
 
@@ -76,12 +75,10 @@ __all__ = [
     "SiteLassoError",
     "SplitPlan",
     "StandardizationTransform",
-    "StandardizedMatrix",
     "SyntheticSpec",
     "TermSpec",
     "apply_transform",
     "assemble_site_blocks",
-    "build_term_matrix",
     "check_standardized",
     "covariate_support_report",
     "ensemble_weights",

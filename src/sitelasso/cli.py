@@ -19,7 +19,13 @@ import sys
 import numpy as np
 
 from . import artifacts
-from .config import ENV_OUTPUT_DIR, METHOD_LABELS, load_run_config, load_synth_spec
+from .config import (
+    ENV_OUTPUT_DIR,
+    METHOD_LABELS,
+    check_output_dir,
+    load_run_config,
+    load_synth_spec,
+)
 from .ensemble import tally_selection, write_selection_csv, write_size_histogram_csv
 from .errors import ConfigError, DataError, NumericalError, SiteLassoError
 from .features import write_removal_log
@@ -71,7 +77,7 @@ def _quota_for(config, site, n_rows):
     return max(1, round(2 * n_rows / 3))
 
 
-def _write_ensemble_files(run_dir, label, run, outputs_note):
+def _write_ensemble_files(run_dir, label, run):
     """Selection tallies, size histograms, transform audits, artifacts."""
     for sub_label, ens in run.ensembles_by_label():
         tag = _tag(label) if not sub_label else f"{_tag(label)}_{sub_label}"
@@ -90,7 +96,6 @@ def _write_ensemble_files(run_dir, label, run, outputs_note):
     write_removal_log(
         os.path.join(run_dir, f"removal_log_{_tag(label)}.csv"), run.removal_records
     )
-    outputs_note.append(label)
 
 
 def _write_prediction_raster(run_dir, label, run, rasters, sites):
@@ -177,7 +182,6 @@ def cmd_run(args):
     columns = []
     notes = {}
     runs = {}
-    written = []
     m2_run = None
     for label in requested:
         if label.startswith("m1-"):
@@ -201,7 +205,7 @@ def cmd_run(args):
         columns.append(label)
         if label == "m3":
             columns.append("m3-oos")
-        _write_ensemble_files(run_dir, label, run, written)
+        _write_ensemble_files(run_dir, label, run)
         write_residuals_csv(
             os.path.join(run_dir, f"residuals_{_tag(label)}.csv"),
             data,
@@ -221,6 +225,8 @@ def cmd_run(args):
         os.path.join(run_dir, "metrics.csv"), table, targets, columns
     )
 
+    # Rasters are printed after the last fit. Printed after each method, the
+    # printer's code pages and heap came before m4's fit: +0.3-0.6 MB peak RSS.
     skipped = []
     if rasters is not None:
         for label, run in runs.items():
@@ -299,6 +305,8 @@ def _load_m1_ensemble(path):
 
 
 def cmd_transfer(args):
+    out_dir = args.output_dir or os.environ.get(ENV_OUTPUT_DIR, "") or args.run_dir
+    check_output_dir(out_dir)
     target = read_points_csv(args.target)
     paths = sorted(glob.glob(os.path.join(args.run_dir, "ensemble_m1_*.json")))
     if not paths:
@@ -335,7 +343,6 @@ def cmd_transfer(args):
                     (source_data, source_site), (target, tsite), ens.terms
                 )
                 break
-    out_dir = args.output_dir or os.environ.get(ENV_OUTPUT_DIR, "") or args.run_dir
     os.makedirs(out_dir, exist_ok=True)
     if report is not None:
         write_support_csv(os.path.join(out_dir, "support_report.csv"), report)

@@ -42,6 +42,20 @@ def parse_kv_file(path):
     return out
 
 
+def check_output_dir(path):
+    """Reject an output directory that cannot be made.
+
+    ``path``, or its nearest parent that exists, must be a directory.
+    """
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(
+            f"output directory {path} cannot be made: {existing} is not a directory"
+        )
+
+
 # Each parser reads one file value's text. int and float report a ValueError
 # as a ConfigError naming the key; the others raise their own.
 _EXPECTED = {int: "an integer", float: "a number"}
@@ -154,6 +168,12 @@ class RunConfig:
             raise ConfigError(f"points file not found: {self.points}")
         if not self.output_dir:
             raise ConfigError("output_dir is required")
+        check_output_dir(self.output_dir)
+        copy = os.path.join(self.output_dir, "points.csv")
+        if os.path.exists(copy) and os.path.samefile(self.points, copy):
+            raise ConfigError(
+                f"points {self.points} is {copy}, where run writes its copy of the points"
+            )
         bad = [m for m in self.methods if m not in METHOD_LABELS]
         if bad:
             raise ConfigError(
@@ -288,4 +308,7 @@ def load_synth_spec(path, output_dir_override=None):
     output_dir = values.pop("output_dir", None)
     if not output_dir:
         raise ConfigError("output_dir is required")
+    # synth writes into output_dir and its rasters directory: checking the
+    # latter checks both
+    check_output_dir(os.path.join(output_dir, "rasters"))
     return SyntheticSpec(**values), output_dir

@@ -60,7 +60,8 @@ def select_knot(path, X_valid, y_valid):
     Ties go to the smaller subset size, then to the earlier (larger lambda)
     knot. The empty knot predicts the training mean carried on the path.
     Knots are scored exactly as :func:`fit_ensemble` scores them during the
-    path pass.
+    path pass. ``X_valid`` is an array of the validation rows over the path's
+    columns, standardized as its training rows were.
 
     Returns
     -------
@@ -68,12 +69,13 @@ def select_knot(path, X_valid, y_valid):
     coefficients over the path's columns, and the observed minus predicted
     values on the validation rows.
     """
+    X_valid = np.asarray(X_valid, dtype=np.float64)
     y_valid = np.asarray(y_valid, dtype=np.float64)
-    if y_valid.shape != (X_valid.n_rows,):
+    if X_valid.ndim != 2 or X_valid.shape[1] != path.coefs.shape[1]:
+        raise DataError("validation matrix width does not match the fitted path")
+    if y_valid.shape != (X_valid.shape[0],):
         raise DataError("validation response length does not match the matrix")
-    if list(X_valid.column_ids) != list(path.column_ids):
-        raise DataError("validation matrix columns do not match the fitted path")
-    scorer = _KnotScorer(X_valid.values[None], y_valid[None], np.array([path.intercept]))
+    scorer = _KnotScorer(X_valid[None], y_valid[None], np.array([path.intercept]))
     first = np.zeros(1, dtype=np.intp)
     for lam, coefs in zip(path.lambdas, path.coefs):
         scorer(first, lam[None], coefs[None])
@@ -403,11 +405,11 @@ def _fit_batch(design, y, row_ids, batch):
         kept = transform.retained_indices
         y_train = y[tr]
         intercepts[i] = float(y_train.mean())
-        gram, xty[i, kept] = gram_system(X_train.values, y_train - intercepts[i])
+        gram, xty[i, kept] = gram_system(X_train, y_train - intercepts[i])
         grams[i][np.ix_(kept, kept)] = gram
-        X_valid[i][:, kept] = apply_transform(design.subset_rows(va), transform).values
+        X_valid[i][:, kept] = apply_transform(design.subset_rows(va), transform)
         y_valid[i] = y[va]
-        n, q = X_train.values.shape
+        n, q = X_train.shape
         max_active[i], max_steps[i] = min(n - 1, q), 8 * min(n, q)
         transforms.append(transform)
         del X_train, gram  # only the Gram stays

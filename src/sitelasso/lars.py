@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearTermsError, DataError, NumericalError
-from .standardize import StandardizedMatrix, check_standardized
+from .standardize import check_standardized
 
 log = logging.getLogger(__name__)
 
@@ -397,7 +397,6 @@ class LassoPath:
     lambdas: np.ndarray  # (K,) knot lambdas, decreasing
     coefs: np.ndarray  # (K, p) coefficients at each knot
     intercept: float
-    column_ids: list
     max_steps_reached: bool = False
     # ended early on singular active-set geometry, above LSQ_FLOOR * lambda_0;
     # a path that degenerates below that floor has reached the least-squares
@@ -410,8 +409,8 @@ def lar_lasso_path(X, y_centered, intercept=0.0, max_steps=None):
 
     Parameters
     ----------
-    X : StandardizedMatrix or (n, p) array
-        Columns with mean 0 and unit L2 norm (checked).
+    X : (n, p) array
+        Columns with mean 0 and unit L2 norm (checked; column j is ``x<j>``).
     y_centered : (n,) array with mean 0 (checked).
     intercept : float
         Training response mean, stored on the path for prediction.
@@ -422,12 +421,10 @@ def lar_lasso_path(X, y_centered, intercept=0.0, max_steps=None):
     -------
     LassoPath
     """
-    named = isinstance(X, StandardizedMatrix)
-    values = np.asarray(X.values if named else X, dtype=np.float64)
+    values = np.asarray(X, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] == 0:
         raise DataError("X must be a 2-d matrix with at least one column")
     n, p = values.shape
-    column_ids = X.column_ids if named else [f"x{j}" for j in range(p)]
     if n < 2:
         raise DataError("the path solver needs at least two rows")
     y = np.ascontiguousarray(y_centered, dtype=np.float64)
@@ -438,7 +435,7 @@ def lar_lasso_path(X, y_centered, intercept=0.0, max_steps=None):
     scale = max(1.0, float(np.max(np.abs(y))))
     if abs(float(y.mean())) > 1e-8 * scale:
         raise DataError(f"response is not centred (mean {y.mean():.3e})")
-    check_standardized(values, column_ids)
+    check_standardized(values, [f"x{j}" for j in range(p)])
     if max_steps is None:
         max_steps = 8 * min(n, p)
     gram, xty = gram_system(values, y)
@@ -456,7 +453,6 @@ def lar_lasso_path(X, y_centered, intercept=0.0, max_steps=None):
         lambdas=np.array(lambdas),
         coefs=np.array(coefs),
         intercept=float(intercept),
-        column_ids=list(column_ids),
         max_steps_reached=max_steps_reached,
         degenerate_stop=degenerate_stop,
     )

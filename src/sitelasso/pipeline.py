@@ -44,7 +44,6 @@ class MethodRun:
     predictions: np.ndarray
     metrics: dict  # target -> FitMetrics
     removal_records: list
-    plan: object
     stage1: object = None  # method 3: the underlying method-2 run
     stage2: dict = None  # method 3: site -> residual Ensemble
     predictions_oos: np.ndarray = None  # method 3 only, labelled variant
@@ -139,7 +138,6 @@ def _fit_run(method, designs, site, design, plan, workers, records, response=Non
         predictions=preds,
         metrics=metrics,
         removal_records=records,
-        plan=plan,
     )
 
 
@@ -220,7 +218,6 @@ def run_method3(designs, plan, workers=1, stage1=None):
         predictions=preds,
         metrics=_metric_targets(data.site_ids, data.response, preds),
         removal_records=list(stage1.removal_records),
-        plan=plan,
         stage1=stage1,
         stage2=stage2,
         predictions_oos=preds_oos,

@@ -179,6 +179,15 @@ def read_ascii_grid(path):
             raise malformed
     except ValueError as exc:
         raise DataError(f"raster {path} has a malformed value: {exc}")
+    for key, ok, rule in (
+        ("ncols", ncols > 0, "positive"),
+        ("nrows", nrows > 0, "positive"),
+        ("xllcorner", np.isfinite(xll), "finite"),
+        ("yllcorner", np.isfinite(yll), "finite"),
+        ("cellsize", 0 < cellsize < np.inf, "positive and finite"),
+    ):
+        if not ok:
+            raise DataError(f"raster {path} has {key} {header[key]}: it must be {rule}")
     values = np.concatenate(chunks)
     if values.size != ncols * nrows:
         raise DataError(

@@ -11,6 +11,10 @@ norm 1.
 Columns whose centred norm is ~0 (relative tolerance 1e-12 against the
 column's peak magnitude) are dropped and recorded; apply_transform drops the
 same columns silently, with a log entry.
+
+Standardized rows are plain arrays over the transform's ``retained_terms``.
+The transform is the one record of a standardization; its ``transform_id``
+is hashed only where an ensemble artifact is written or read.
 """
 
 import csv
@@ -39,31 +43,6 @@ NORM_TOL = 1e-10
 
 
 @dataclass
-class StandardizedMatrix:
-    """Design matrix after a transform has been applied.
-
-    Carries the id of the transform that produced it so prediction can refuse
-    matrices built with the wrong one.
-    """
-
-    values: np.ndarray
-    terms: list
-    transform_ref: str
-
-    @property
-    def n_rows(self):
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self):
-        return self.values.shape[1]
-
-    @property
-    def column_ids(self):
-        return [t.term_id for t in self.terms]
-
-
-@dataclass
 class StandardizationTransform:
     """Training means/norms for every fit-time column, plus drop flags."""
 
@@ -80,7 +59,6 @@ class StandardizationTransform:
         p = len(self.terms)
         if not (len(self.means) == len(self.norms) == len(self.dropped) == p):
             raise DataError("transform arrays do not match the term list")
-        self._id = None
 
     @property
     def transform_id(self):
@@ -89,14 +67,10 @@ class StandardizationTransform:
         The SHA-1 of one line per column, from the built-in module imported
         above, so that computing it loads no OpenSSL.
         """
-        if self._id is None:
-            digest = sha1()
-            for term, m, s, d in zip(self.terms, self.means, self.norms, self.dropped):
-                digest.update(
-                    f"{term.term_id}|{m!r}|{s!r}|{int(d)}\n".encode("utf-8")
-                )
-            self._id = "xf-" + digest.hexdigest()[:16]
-        return self._id
+        digest = sha1()
+        for term, m, s, d in zip(self.terms, self.means, self.norms, self.dropped):
+            digest.update(f"{term.term_id}|{m!r}|{s!r}|{int(d)}\n".encode("utf-8"))
+        return "xf-" + digest.hexdigest()[:16]
 
     @property
     def retained_indices(self):
@@ -123,7 +97,7 @@ def _scope_groups(terms, row_sites):
 
 
 def fit_transform(design):
-    """Fit a transform on ``design`` and return the standardized training matrix.
+    """Fit a transform on ``design`` and standardize its rows with it.
 
     Parameters
     ----------
@@ -131,7 +105,7 @@ def fit_transform(design):
 
     Returns
     -------
-    (StandardizedMatrix, StandardizationTransform)
+    (array of the retained columns, StandardizationTransform)
     """
     if design.n_rows < 2:
         raise DataError("standardization needs at least two training rows")
@@ -175,15 +149,14 @@ def _standardize(design, transform):
     validation matrix with ``np.matmul``, whose rounding follows the layout.
     """
     retained = transform.retained_indices
-    terms = transform.retained_terms
     out = np.zeros((design.n_rows, retained.size))
-    for cols, mask in _scope_groups(terms, design.row_sites):
+    for cols, mask in _scope_groups(transform.retained_terms, design.row_sites):
         source = retained[cols]
         rows = design.values[np.ix_(mask, source)]  # a copy, changed in place
         rows -= transform.means[source]
         rows /= transform.norms[source]
         out[np.ix_(mask, cols)] = rows
-    return StandardizedMatrix(out, terms, transform.transform_id)
+    return out
 
 
 def apply_transform(design, transform):

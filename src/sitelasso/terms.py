@@ -138,7 +138,7 @@ def evaluate_term(term, covariate_values):
     Returns
     -------
     1-d float array. Site scoping is a matrix-level concern and is not
-    applied here; see :func:`build_term_matrix`.
+    applied here; see ``features.assemble_site_blocks`` and ``LinearForm``.
 
     Powers are IEEE products, never ``pow``: x*x, then (x*x)*x for order 3
     and (x*x)*(x*x) for order 4, taken in place in one new array. Each
@@ -161,34 +161,6 @@ def evaluate_term(term, covariate_values):
     a = np.asarray(covariate_values[term.base], dtype=np.float64)
     b = np.asarray(covariate_values[term.other], dtype=np.float64)
     return a * b
-
-
-def build_term_matrix(covariate_values, row_sites, terms):
-    """Assemble a raw design matrix for ``terms``.
-
-    Site-scoped columns carry the term value on matching-site rows and exact
-    0.0 elsewhere. ``row_sites`` may be None when every term is global.
-    """
-    first = next(iter(covariate_values.values()), None)
-    if first is None:
-        raise DataError("no covariates supplied")
-    n = len(first)
-    out = np.zeros((n, len(terms)), dtype=np.float64)
-    sites = None if row_sites is None else np.asarray(row_sites)
-    for j, term in enumerate(terms):
-        values = evaluate_term(term, covariate_values)
-        if values.shape != (n,):
-            raise DataError(f"covariate arrays for {term.term_id} have mixed lengths")
-        if term.scope is None:
-            out[:, j] = values
-        else:
-            if sites is None:
-                raise DataError(
-                    f"term {term.term_id} is site-scoped but no row sites were given"
-                )
-            mask = sites == term.scope
-            out[mask, j] = values[mask]
-    return out
 
 
 @dataclass

@@ -80,6 +80,19 @@ def read_ascii_grid(path):
         values = np.array([float(tok) for tok in " ".join(data_lines).split()])
     except ValueError as exc:
         raise DataError(f"raster {path} has a malformed value: {exc}")
+    rules = {
+        "ncols": ncols > 0,
+        "nrows": nrows > 0,
+        "xllcorner": np.isfinite(xll),
+        "yllcorner": np.isfinite(yll),
+        "cellsize": np.isfinite(cellsize) and cellsize > 0,
+    }
+    for key, ok in rules.items():
+        if not ok:
+            rule = "finite" if "corner" in key else "positive"
+            if key == "cellsize":
+                rule += " and finite"
+            raise DataError(f"raster {path} has {key} {header[key]}: it must be {rule}")
     if values.size != ncols * nrows:
         raise DataError(
             f"raster {path} carries {values.size} values, expected {ncols * nrows}"

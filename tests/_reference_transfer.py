@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 from _reference_readers import read_points_csv
+from _spec_route import build_term_matrix
 
 from sitelasso import artifacts
 from sitelasso.ensemble import linear_form
@@ -21,7 +22,6 @@ from sitelasso.errors import DataError, NumericalError
 from sitelasso.models import FitMetrics
 from sitelasso.pipeline import COMBINED, SupportRow, write_support_csv
 from sitelasso.pointdata import PointDataset, format_float
-from sitelasso.terms import build_term_matrix
 
 
 def fit_metrics(obs, pred):

@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 from _cd_oracle import cd_lasso, kkt_residuals, lasso_objective
+from _spec_route import build_term_matrix
 from _toys import assembled
 
 from sitelasso.errors import NumericalError
@@ -44,7 +45,7 @@ from sitelasso.pointdata import PointDataset
 from sitelasso.splits import make_splits
 from sitelasso.standardize import apply_transform, check_standardized, fit_transform
 from sitelasso.synthetic import SyntheticSpec, default_fields, generate_synthetic
-from sitelasso.terms import RawDesign, build_term_matrix
+from sitelasso.terms import RawDesign
 
 
 def standardized_instance(seed, n, p):
@@ -224,12 +225,12 @@ def test_criterion_03_site_blocks_keep_structural_zeros_bitwise():
 
     matrix, transform = fit_transform(wide)
     assert not transform.dropped.any()
-    check_standardized(matrix.values, matrix.column_ids)
-    position = {t.term_id: k for k, t in enumerate(matrix.terms)}
+    check_standardized(matrix, [t.term_id for t in transform.retained_terms])
+    position = {t.term_id: k for k, t in enumerate(transform.retained_terms)}
     for scope in ("A", "B"):
         other = wide.row_sites != scope
         cols = [position[wide.terms[j].term_id] for j in by_scope[scope]]
-        block = matrix.values[np.ix_(other, cols)]
+        block = matrix[np.ix_(other, cols)]
         assert np.all(block == 0.0), "standardization disturbed a structural zero"
     print(
         "criterion 3: 116-row site blocks width 3w, other-site zeros bitwise "
@@ -293,8 +294,8 @@ def test_criterion_05_standardization_replay_and_round_trip():
     assert not transform.dropped.any()
 
     # training columns: mean 0 and unit norm over the rows that carry them
-    for k, term in enumerate(matrix.terms):
-        col = matrix.values[:, k]
+    for k, term in enumerate(transform.retained_terms):
+        col = matrix[:, k]
         rows = (
             np.ones(train.n_rows, dtype=bool)
             if term.scope is None
@@ -308,7 +309,7 @@ def test_criterion_05_standardization_replay_and_round_trip():
     shifted.covariate_values += 1.5  # move the validation distribution
     valid = assemble_site_blocks(expand_terms(shifted))
     replay = apply_transform(valid, transform)
-    for k, term in enumerate(replay.terms):
+    for k, term in enumerate(transform.retained_terms):
         j = [t.term_id for t in transform.terms].index(term.term_id)
         expected = np.zeros(valid.n_rows)
         rows = (
@@ -317,15 +318,15 @@ def test_criterion_05_standardization_replay_and_round_trip():
             else valid.row_sites == term.scope
         )
         expected[rows] = (valid.values[rows, j] - transform.means[j]) / transform.norms[j]
-        assert np.max(np.abs(replay.values[:, k] - expected)) <= 1e-10
+        assert np.max(np.abs(replay[:, k] - expected)) <= 1e-10
     # shifted validation columns are NOT standardized under training constants
-    global_cols = [k for k, t in enumerate(replay.terms) if t.scope is None]
-    means_after = np.abs(replay.values[:, global_cols].mean(axis=0))
+    global_cols = [k for k, t in enumerate(transform.retained_terms) if t.scope is None]
+    means_after = np.abs(replay[:, global_cols].mean(axis=0))
     assert means_after.max() > 1e-3, "replay looks refitted on validation rows"
 
     # round-trip: invert the transform and recover the raw training design
     recovered = np.zeros_like(train.values)
-    position = {t.term_id: k for k, t in enumerate(matrix.terms)}
+    position = {t.term_id: k for k, t in enumerate(transform.retained_terms)}
     for j, term in enumerate(transform.terms):
         k = position[term.term_id]
         rows = (
@@ -333,7 +334,7 @@ def test_criterion_05_standardization_replay_and_round_trip():
             if term.scope is None
             else train.row_sites == term.scope
         )
-        recovered[rows, j] = matrix.values[rows, k] * transform.norms[j] + transform.means[j]
+        recovered[rows, j] = matrix[rows, k] * transform.norms[j] + transform.means[j]
     assert np.max(np.abs(recovered - train.values)) <= 1e-10
     print("criterion 5: replay within 1e-10 of training constants; round-trip <=1e-10")
 

@@ -695,3 +695,104 @@ def test_quickstart_paths_end_without_a_degenerate_stop(quickstart_data, tmp_pat
     )
     assert out.returncode == 0, out.stderr
     assert "ended early" not in out.stderr and "degenerate" not in out.stderr
+
+
+def _tree(root):
+    """Every file under ``root`` with its bytes, by relative path."""
+    out = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                out[os.path.relpath(path, root)] = handle.read()
+    return out
+
+
+def _run_into_a_file(workspace, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        RUN_CFG.format(
+            points=workspace["synth"] / "points.csv",
+            out=tmp_path / "unused",
+            rasters=workspace["synth"] / "rasters",
+            site=workspace["synth"] / "site.asc",
+        )
+    )
+    return ["run", str(cfg), "--output-dir", str(taken)], taken
+
+
+def _run_over_its_own_points(workspace, tmp_path):
+    study = tmp_path / "study"
+    study.mkdir()
+    shutil.copyfile(workspace["synth"] / "points.csv", study / "points.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        RUN_CFG.format(
+            points=study / "points.csv",
+            out=study,
+            rasters=workspace["synth"] / "rasters",
+            site=workspace["synth"] / "site.asc",
+        )
+    )
+    return ["run", str(cfg)], study / "points.csv"
+
+
+def _synth_into_a_file(workspace, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(SYNTH_SPEC + f"output_dir = {tmp_path / 'unused'}\n")
+    return ["synth", str(spec), "--output-dir", str(taken)], taken
+
+
+def _synth_under_a_file(workspace, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(SYNTH_SPEC + f"output_dir = {taken / 'sub'}\n")
+    return ["synth", str(spec)], taken
+
+
+def _synth_over_a_rasters_file(workspace, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "rasters").write_text("not a directory\n")
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(SYNTH_SPEC + f"output_dir = {out}\n")
+    return ["synth", str(spec)], out / "rasters"
+
+
+def _transfer_into_a_file(workspace, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    target = workspace["synth"] / "points.csv"
+    return ["transfer", str(workspace["run"]), str(target), "--output-dir", str(taken)], taken
+
+
+@pytest.mark.parametrize(
+    "collide",
+    [
+        _run_into_a_file,
+        _run_over_its_own_points,
+        _synth_into_a_file,
+        _synth_under_a_file,
+        _synth_over_a_rasters_file,
+        _transfer_into_a_file,
+    ],
+    ids=["run_into_a_file", "run_over_its_own_points", "synth_into_a_file",
+         "synth_under_a_file", "synth_over_a_rasters_file", "transfer_into_a_file"],
+)
+def test_an_output_directory_collision_ends_with_exit_code_2_before_any_work(
+    workspace, tmp_path, capsys, collide
+):
+    argv, culprit = collide(workspace, tmp_path)
+    before, run_before = _tree(tmp_path), _tree(workspace["run"])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert str(culprit) in err[0]
+    assert _tree(tmp_path) == before and _tree(workspace["run"]) == run_before
+

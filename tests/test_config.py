@@ -16,7 +16,10 @@ from sitelasso.synthetic import SyntheticSpec, default_fields
 
 @pytest.fixture()
 def points_file(tmp_path):
-    path = tmp_path / "points.csv"
+    # outside tmp_path itself, which the configs below name as output_dir:
+    # a run may not write its copy of the points over the points file
+    (tmp_path / "data").mkdir()
+    path = tmp_path / "data" / "points.csv"
     path.write_text("site,x,y,response,cov0\nB1,0,0,1.0,0.5\nB2,9,9,2.0,0.7\n")
     return path
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from _spec_route import members, predict
 
-from sitelasso import artifacts
+from sitelasso import artifacts, standardize
 from sitelasso.ensemble import (
     ensemble_weights,
     fit_ensemble,
@@ -20,13 +20,7 @@ from sitelasso.features import assemble_site_blocks, expand_terms
 from sitelasso.lars import LassoPath, lar_lasso_path
 from sitelasso.pointdata import PointDataset
 from sitelasso.splits import make_splits
-from sitelasso.standardize import StandardizedMatrix, apply_transform, fit_transform
-from sitelasso.terms import TermSpec
-
-
-def toy_matrix(values, ref="xf-t"):
-    terms = [TermSpec("poly", f"c{j}", 1) for j in range(values.shape[1])]
-    return StandardizedMatrix(np.asarray(values, float), terms, ref)
+from sitelasso.standardize import apply_transform, fit_transform
 
 
 def test_select_knot_brute_force_agreement():
@@ -38,39 +32,43 @@ def test_select_knot_brute_force_agreement():
     nrm = np.sqrt(((train - mu) ** 2).sum(axis=0))
     X_train = (train - mu) / nrm
     path = lar_lasso_path(X_train, y[:16] - y[:16].mean(), intercept=y[:16].mean())
-    X_valid = StandardizedMatrix(
-        (rest - mu) / nrm,
-        [type("T", (), {"term_id": f"x{j}"}) for j in range(6)],
-        "xf-t",
-    )
+    X_valid = (rest - mu) / nrm
     y_valid = y[16:]
     coef, sse, resid = select_knot(path, X_valid, y_valid)
     # brute force over dense knot vectors
     sses = []
     for beta in path.coefs:
-        pred = path.intercept + X_valid.values @ beta
+        pred = path.intercept + X_valid @ beta
         sses.append(float(((y_valid - pred) ** 2).sum()))
     assert sse == pytest.approx(min(sses), abs=1e-12)
     winners = [k for k, s in enumerate(sses) if s == min(sses)]
     assert np.count_nonzero(coef) == min(np.count_nonzero(path.coefs[k]) for k in winners)
-    assert np.allclose(resid, y_valid - (path.intercept + X_valid.values @ path.coefs[winners[0]]))
+    assert np.allclose(resid, y_valid - (path.intercept + X_valid @ path.coefs[winners[0]]))
 
 
 def test_select_knot_tie_prefers_smaller_subset():
     # two knots with identical predictions on a crafted validation set
     coefs = np.array([[0.0, 0.0], [1.0, -1.0]])
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # coef (1,-1) cancels
-    path = LassoPath(np.array([2.0, 1.0]), coefs, 0.7, ["c0", "c1"])
-    coef, _, _ = select_knot(path, toy_matrix(X), np.array([0.7, 0.7, 0.7]))
+    path = LassoPath(np.array([2.0, 1.0]), coefs, 0.7)
+    coef, _, _ = select_knot(path, X, np.array([0.7, 0.7, 0.7]))
     assert np.array_equal(coef, [0.0, 0.0])
 
 
 def test_intercept_only_knot_predicts_training_mean():
-    path = LassoPath(np.array([0.0]), np.zeros((1, 1)), 5.5, ["c0"])
-    X_valid = toy_matrix(np.zeros((3, 1)))
+    path = LassoPath(np.array([0.0]), np.zeros((1, 1)), 5.5)
+    X_valid = np.zeros((3, 1))
     coef, sse, resid = select_knot(path, X_valid, np.array([5.5, 6.5, 4.5]))
     assert np.array_equal(coef, [0.0]) and sse == 2.0
     assert np.allclose(resid, [0.0, 1.0, -1.0])
+
+
+def test_select_knot_checks_the_matrix_against_the_path():
+    path = LassoPath(np.array([1.0, 0.0]), np.zeros((2, 2)), 0.0)
+    with pytest.raises(DataError, match="width"):
+        select_knot(path, np.zeros((3, 3)), np.zeros(3))
+    with pytest.raises(DataError, match="length"):
+        select_knot(path, np.zeros((3, 2)), np.zeros(4))
 
 
 def test_ensemble_weights_contract_values():
@@ -140,7 +138,7 @@ def test_model_average_matches_spec_route(site_blocks):
     slow = np.zeros(design.n_rows)
     for member, transform, weight in zip(members(ens), ens.transforms, ens.weights):
         X = apply_transform(design, transform)
-        slow += weight * predict(member, X)
+        slow += weight * predict(member, transform, X)
     assert np.max(np.abs(fast - slow)) <= 1e-10
     each = member_predictions(ens, design)
     assert np.max(np.abs(fast - ens.weights @ each)) <= 1e-12
@@ -245,3 +243,19 @@ def test_each_model_owns_its_transform():
     assert len(refs) > 1  # different training rows give different constants
     stored = artifacts.ensemble_to_dict(ens)["models"]
     assert [m["transform_ref"] for m in stored] == [t.transform_id for t in ens.transforms]
+
+
+def test_fitting_hashes_no_transform_and_writing_hashes_one_per_member(monkeypatch):
+    # a transform's id is read only where an artifact is written or read
+    calls = []
+    sha1 = standardize.sha1
+
+    def counting(*args):
+        calls.append(args)
+        return sha1(*args)
+
+    monkeypatch.setattr(standardize, "sha1", counting)
+    _, _, ens = fitted_toy_ensemble()
+    assert calls == []
+    artifacts.ensemble_to_dict(ens)
+    assert len(calls) == ens.n_models

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _spec_route import members
+from _spec_route import build_term_matrix, members
 from _toys import assembled
 
 from sitelasso.ensemble import Ensemble, linear_form
@@ -18,7 +18,7 @@ from sitelasso.rasters import RasterGrid, write_ascii_grid, write_ascii_rows
 from sitelasso.splits import make_splits
 from sitelasso.standardize import StandardizationTransform
 from sitelasso.synthetic import SyntheticSpec, default_fields, generate_synthetic
-from sitelasso.terms import build_term_matrix, RawDesign, TermSpec
+from sitelasso.terms import RawDesign, TermSpec
 
 
 def small_plan(data, n_splits=8, seed=5):

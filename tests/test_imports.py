@@ -7,6 +7,7 @@ Both branches of a guarded fallback bind the same name, so one use covers both.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,24 @@ def test_the_package_exports_exactly_what_its_init_imports():
     assert set(sitelasso.__all__) == imported
     for name in sitelasso.__all__:
         assert hasattr(sitelasso, name), name
+
+
+def test_every_public_name_is_read_by_the_package_or_documented():
+    # an export that no module reads and README.md does not name is a test
+    # helper or dead code; a docstring mention does not count as a read
+    import sitelasso
+
+    read = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    dead = [
+        name
+        for name in sitelasso.__all__
+        if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert not dead, f"exported but neither read by the package nor in README.md: {dead}"

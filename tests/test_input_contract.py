@@ -157,6 +157,36 @@ def grid_errors():
             "".join(lines[:-1]),
             f"carries {299 * 400} values, expected {300 * 400}",
         ),
+        # header faults that the grid itself would report without the file
+        "zero ncols and no data": (
+            "".join(lines[:6]).replace("ncols 400\n", "ncols 0\n"),
+            "has ncols 0: it must be positive",
+        ),
+        "negative nrows": (
+            text.replace("nrows 300\n", "nrows -300\n"),
+            "has nrows -300: it must be positive",
+        ),
+        "negative cellsize": (
+            text.replace("cellsize 3\n", "cellsize -1\n"),
+            "has cellsize -1: it must be positive and finite",
+        ),
+        "zero cellsize": (
+            text.replace("cellsize 3\n", "cellsize 0\n"),
+            "has cellsize 0: it must be positive and finite",
+        ),
+        # and non-finite geometry, which it would accept
+        "infinite cellsize": (
+            text.replace("cellsize 3\n", "cellsize inf\n"),
+            "has cellsize inf: it must be positive and finite",
+        ),
+        "infinite xllcorner": (
+            text.replace("xllcorner 0\n", "xllcorner inf\n"),
+            "has xllcorner inf: it must be finite",
+        ),
+        "nan yllcorner": (
+            text.replace("yllcorner 0\n", "yllcorner nan\n"),
+            "has yllcorner nan: it must be finite",
+        ),
     }
 
 
@@ -314,6 +344,11 @@ GRID_CASES = {
     "malformed header value and token": GRID.replace("ncols 5", "ncols 5.5")[:-1] + " x7\n",
     "missing key and bad token": GRID.replace("yllcorner 0\n", "")[:-1] + " x7\n",
     "no data": GRID_HEADER + "NODATA_value -9999\n",
+    "zero ncols and no data": GRID_HEADER.replace("ncols 5", "ncols 0") + "NODATA_value -9999\n",
+    "negative cellsize": GRID.replace("cellsize 3", "cellsize -3"),
+    "infinite cellsize": GRID.replace("cellsize 3", "cellsize Infinity"),
+    "nan xllcorner": GRID.replace("xllcorner 0", "xllcorner nan"),
+    "infinite yllcorner and bad token": GRID.replace("yllcorner 0", "yllcorner -inf")[:-1] + " x7\n",
 }
 
 

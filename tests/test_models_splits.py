@@ -9,38 +9,43 @@ from sitelasso.errors import ConfigError, DataError, NumericalError
 from sitelasso.models import fit_metrics
 from sitelasso.pointdata import PointDataset
 from sitelasso.splits import make_splits, plan_to_dict
-from sitelasso.standardize import StandardizedMatrix
+from sitelasso.standardize import StandardizationTransform
 from sitelasso.terms import TermSpec
 
 
-def matrix(values, ids, ref="xf-test"):
-    return StandardizedMatrix(
-        np.asarray(values, dtype=float),
-        [TermSpec("poly", i, 1) for i in ids],
-        ref,
-    )
+def identity_transform(ids):
+    """A transform of columns ``ids`` with mean 0 and norm 1: rows pass unchanged."""
+    p = len(ids)
+    terms = [TermSpec("poly", i, 1) for i in ids]
+    return StandardizationTransform(terms, np.zeros(p), np.ones(p), np.zeros(p, bool), 2)
 
 
 def test_predict_uses_named_columns():
-    X = matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), ["a", "b"])
-    member = (0.5, {"b": 2.0}, "xf-test")
-    assert np.allclose(predict(member, X), [4.5, 8.5])
+    transform = identity_transform(["a", "b"])
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    member = (0.5, {"b": 2.0}, transform.transform_id)
+    assert np.allclose(predict(member, transform, X), [4.5, 8.5])
 
 
 def test_predict_transform_mismatch_and_missing_column():
-    X = matrix(np.ones((3, 1)), ["a"])
+    transform = identity_transform(["a"])
+    X = np.ones((3, 1))
     wrong_ref = (0.0, {"a": 1.0}, "xf-other")
-    with pytest.raises(DataError, match="built with transform 'xf-test', member expects 'xf-other'"):
-        predict(wrong_ref, X)
-    missing = (0.0, {"zz": 1.0}, "xf-test")
+    expected = f"built with transform '{transform.transform_id}', member expects 'xf-other'"
+    with pytest.raises(DataError, match=expected):
+        predict(wrong_ref, transform, X)
+    missing = (0.0, {"zz": 1.0}, transform.transform_id)
     with pytest.raises(DataError, match="zz"):
-        predict(missing, X)
+        predict(missing, transform, X)
+    with pytest.raises(DataError, match="width"):
+        predict((0.0, {"a": 1.0}, transform.transform_id), transform, np.ones((3, 2)))
 
 
 def test_intercept_only_model_predicts_constant():
-    X = matrix(np.random.default_rng(0).normal(size=(6, 2)), ["a", "b"])
-    member = (3.25, {}, "xf-test")
-    assert np.array_equal(predict(member, X), np.full(6, 3.25))
+    transform = identity_transform(["a", "b"])
+    X = np.random.default_rng(0).normal(size=(6, 2))
+    member = (3.25, {}, transform.transform_id)
+    assert np.array_equal(predict(member, transform, X), np.full(6, 3.25))
 
 
 def test_fit_metrics_known_values():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _spec_route import build_term_matrix
 from _toys import two_site_data
 
 from sitelasso.ensemble import model_average
@@ -20,7 +21,7 @@ from sitelasso.pipeline import (
 from sitelasso.splits import make_splits
 from sitelasso.models import FitMetrics
 from sitelasso.pointdata import PointDataset
-from sitelasso.terms import build_term_matrix, parse_term_id
+from sitelasso.terms import parse_term_id
 
 
 @pytest.fixture(scope="module")

@@ -39,12 +39,18 @@ def blocked_design(seed, n_a=7, n_b=6):
     return RawDesign(vals, terms, sites)
 
 
+def retained_ids(transform):
+    """Ids of the columns of a standardized array, in order."""
+    return [t.term_id for t in transform.retained_terms]
+
+
 def test_fit_output_satisfies_invariants():
     matrix, transform = fit_transform(global_design(0, 30, 6))
-    check_standardized(matrix.values, matrix.column_ids)
-    assert matrix.transform_ref == transform.transform_id
-    means = matrix.values.mean(axis=0)
-    norms = np.sqrt((matrix.values**2).sum(axis=0))
+    check_standardized(matrix, retained_ids(transform))
+    # the array's columns are the transform's retained terms
+    assert matrix.shape == (30, len(transform.retained_terms)) == (30, 6)
+    means = matrix.mean(axis=0)
+    norms = np.sqrt((matrix**2).sum(axis=0))
     assert np.abs(means).max() <= 1e-10
     assert np.abs(norms - 1.0).max() <= 1e-10
 
@@ -52,9 +58,9 @@ def test_fit_output_satisfies_invariants():
 def test_site_columns_use_matching_rows_only():
     design = blocked_design(1)
     matrix, transform = fit_transform(design)
-    check_standardized(matrix.values, matrix.column_ids)
+    check_standardized(matrix, retained_ids(transform))
     a_mask = design.row_sites == "A"
-    col_a = matrix.values[:, 1]
+    col_a = matrix[:, 1]
     # other-site rows bitwise zero
     assert np.all(col_a[~a_mask] == 0.0)
     # matching rows alone are centred and unit-norm
@@ -75,7 +81,7 @@ def test_apply_replays_training_constants():
     _, transform = fit_transform(train)
     replayed = apply_transform(valid, transform)
     manual = (valid.values - transform.means) / transform.norms
-    assert np.allclose(replayed.values, manual, atol=1e-12)
+    assert np.allclose(replayed, manual, atol=1e-12)
     # altering validation rows never changes the transform
     wobbled = RawDesign(valid.values * 3.5, valid.terms, valid.row_sites)
     ref_before = transform.transform_id
@@ -90,7 +96,7 @@ def test_apply_keeps_structural_zeros():
     _, transform = fit_transform(train)
     out = apply_transform(rest, transform)
     b_rows = rest.row_sites == "B"
-    col_a = out.values[:, out.column_ids.index("A@g")]
+    col_a = out[:, retained_ids(transform).index("A@g")]
     assert np.all(col_a[b_rows] == 0.0)
 
 
@@ -100,10 +106,10 @@ def test_constant_columns_drop_and_propagate(caplog):
         matrix, transform = fit_transform(design)
     assert transform.dropped_ids == ["c2"]
     assert "c2" in caplog.text
-    assert matrix.n_cols == 4 and "c2" not in matrix.column_ids
+    assert matrix.shape[1] == 4 and "c2" not in retained_ids(transform)
     with caplog.at_level(logging.DEBUG, logger="sitelasso.standardize"):
         replay = apply_transform(design, transform)
-    assert replay.n_cols == 4
+    assert replay.shape[1] == 4
 
 
 def test_column_mismatch_is_reported():
@@ -132,7 +138,7 @@ def test_transform_csv_round_trip(tmp_path):
 
 def test_check_standardized_names_offender():
     design = global_design(7, 12, 3)
-    matrix, _ = fit_transform(design)
-    matrix.values[:, 1] *= 2.0
+    matrix, transform = fit_transform(design)
+    matrix[:, 1] *= 2.0
     with pytest.raises(DataError, match="c1"):
-        check_standardized(matrix.values, matrix.column_ids)
+        check_standardized(matrix, retained_ids(transform))
