@@ -31,7 +31,7 @@ from .features import (
     filter_collinear,
     term_rank,
 )
-from .gridpredict import prediction_rows, two_stage_rows
+from .gridpredict import prediction_rows
 from .lars import LassoPath, lar_lasso_path
 from .models import FitMetrics, fit_metrics
 from .pipeline import (
@@ -104,7 +104,6 @@ __all__ = [
     "select_knot",
     "tally_selection",
     "term_rank",
-    "two_stage_rows",
     "write_ascii_grid",
     "write_points_csv",
 ]

@@ -32,8 +32,8 @@ from .features import write_removal_log
 from .gridpredict import (
     check_registration,
     prediction_rows,
+    site_specific,
     sites_from_raster,
-    two_stage_rows,
 )
 from .pipeline import (
     COMBINED,
@@ -48,7 +48,7 @@ from .pipeline import (
     write_residuals_csv,
     write_support_csv,
 )
-from .pointdata import format_float, read_points_csv
+from .pointdata import format_float, read_points_csv, write_csv
 from .rasters import read_ascii_grid, write_ascii_grid, write_ascii_rows
 from .splits import make_splits, plan_to_dict
 from .standardize import write_transform_csv
@@ -79,7 +79,7 @@ def _quota_for(config, site, n_rows):
 
 def _write_ensemble_files(run_dir, label, run):
     """Selection tallies, size histograms, transform audits, artifacts."""
-    for sub_label, ens in run.ensembles_by_label():
+    for sub_label, site, ens in run.ensembles_by_label():
         tag = _tag(label) if not sub_label else f"{_tag(label)}_{sub_label}"
         freq, sizes = tally_selection(ens)
         write_selection_csv(os.path.join(run_dir, f"selection_{tag}.csv"), freq)
@@ -91,7 +91,7 @@ def _write_ensemble_files(run_dir, label, run):
         )
         payload = artifacts.ensemble_to_dict(ens)
         payload["method"] = label
-        payload["site"] = run.site or sub_label.replace("stage2_", "") or None
+        payload["site"] = site
         artifacts.write_json(os.path.join(run_dir, f"ensemble_{tag}.json"), payload)
     write_removal_log(
         os.path.join(run_dir, f"removal_log_{_tag(label)}.csv"), run.removal_records
@@ -101,20 +101,16 @@ def _write_ensemble_files(run_dir, label, run):
 def _write_prediction_raster(run_dir, label, run, rasters, sites):
     """Write a method's prediction raster a block of rows at a time.
 
-    ``sites`` is the site raster's ``(names, codes)``, or None without one.
+    ``sites`` is the site raster's ``(names, codes)``, or None without one;
+    a prediction that is not site-specific reads no site codes.
     """
+    stages = run.stages
+    if not site_specific(stages):
+        sites = None
+    elif sites is None:
+        return f"{label}: needs site_raster"
     path = os.path.join(run_dir, f"prediction_{_tag(label)}.asc")
-    if run.method == "m3":
-        if sites is None:
-            return f"{label}: needs site_raster"
-        grid, blocks = two_stage_rows(run.stage1.ensemble, run.stage2, rasters, sites)
-    elif run.ensemble.needs_site_information():
-        if sites is None:
-            return f"{label}: needs site_raster"
-        grid, blocks = prediction_rows(run.ensemble, rasters, sites=sites)
-    else:
-        grid, blocks = prediction_rows(run.ensemble, rasters)
-    write_ascii_rows(path, grid, blocks)
+    write_ascii_rows(path, *prediction_rows(stages, rasters, sites))
     return None
 
 
@@ -184,41 +180,32 @@ def cmd_run(args):
     runs = {}
     m2_run = None
     for label in requested:
+        transfer = {}
         if label.startswith("m1-"):
             run = run_method1(designs, site_by_label[label], plan, config.workers)
             other = sites[1] if run.site == sites[0] else sites[0]
-            transfer = evaluate_transfer(run.ensemble, data.subset(data.site_rows(other)))
-            table[label] = dict(run.metrics)
-            table[label][other] = transfer.metrics
+            transfer[other] = evaluate_transfer(
+                run.ensemble, data.subset(data.site_rows(other))
+            ).metrics
         elif label == "m2":
             run = m2_run = run_method2(designs, plan, config.workers)
-            table[label] = dict(run.metrics)
         elif label == "m3":
             run = run_method3(designs, plan, config.workers, stage1=m2_run)
             notes["m3_stage1_source"] = "m2" if m2_run is not None else "internal"
-            table[label] = dict(run.metrics)
-            table["m3-oos"] = dict(run.metrics_oos)
         else:
             run = run_method4(designs, plan, config.workers)
-            table[label] = dict(run.metrics)
         runs[label] = run
-        columns.append(label)
-        if label == "m3":
-            columns.append("m3-oos")
         _write_ensemble_files(run_dir, label, run)
-        write_residuals_csv(
-            os.path.join(run_dir, f"residuals_{_tag(label)}.csv"),
-            data,
-            run.row_ids,
-            run.predictions,
-        )
-        if label == "m3":
+        for column, predictions, metrics in run.reports(label):
+            table[column] = dict(metrics)
+            columns.append(column)
             write_residuals_csv(
-                os.path.join(run_dir, "residuals_m3_oos.csv"),
+                os.path.join(run_dir, f"residuals_{_tag(column)}.csv"),
                 data,
                 run.row_ids,
-                run.predictions_oos,
+                predictions,
             )
+        table[label].update(transfer)
 
     targets = sites + [COMBINED]
     write_method_comparison_csv(
@@ -266,6 +253,7 @@ def cmd_synth(args):
     os.makedirs(out_dir, exist_ok=True)
     rasters_dir = os.path.join(out_dir, "rasters")
     os.makedirs(rasters_dir, exist_ok=True)
+    # local: pipebench hooks pointdata.write_points_csv after importing this module
     from .pointdata import write_points_csv
 
     write_points_csv(os.path.join(out_dir, "points.csv"), points)
@@ -347,12 +335,14 @@ def cmd_transfer(args):
     if report is not None:
         write_support_csv(os.path.join(out_dir, "support_report.csv"), report)
     metrics_path = os.path.join(out_dir, "transfer_metrics.csv")
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("source_site,target,r2,rmse,n\n")
-        for source_site, tgt, r2, rmse, n in rows:
-            handle.write(
-                f"{source_site},{tgt},{format_float(r2)},{format_float(rmse)},{n}\n"
-            )
+    write_csv(
+        metrics_path,
+        ["source_site", "target", "r2", "rmse", "n"],
+        (
+            [source_site, tgt, format_float(r2), format_float(rmse), n]
+            for source_site, tgt, r2, rmse, n in rows
+        ),
+    )
     for source_site, tgt, r2, rmse, n in rows:
         print(f"{source_site} -> {tgt}: R2={r2:.4f} RMSE={rmse:.4f} (n={n})")
     print(f"transfer metrics in {metrics_path}")

@@ -1,6 +1,5 @@
 """Cross-validated knot selection and inverse-SSE model averaging."""
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -8,6 +7,7 @@ import numpy as np
 
 from .errors import DataError
 from .lars import gram_system, lockstep_paths, path_flags, shrink_rows
+from .pointdata import write_csv
 from .standardize import apply_transform, fit_transform
 from .terms import evaluate_term
 
@@ -158,13 +158,6 @@ class Ensemble:
     @property
     def column_ids(self):
         return [t.term_id for t in self.terms]
-
-    def needed_covariates(self):
-        """Covariates any member model actually reads."""
-        return linear_form(self).covariates
-
-    def needs_site_information(self):
-        return bool(linear_form(self).sites)
 
 
 @dataclass(frozen=True)
@@ -326,18 +319,11 @@ def tally_selection(ensemble):
 
 def write_selection_csv(path, freq):
     rows = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["term", "count"])
-        writer.writerows(rows)
+    write_csv(path, ["term", "count"], rows)
 
 
 def write_size_histogram_csv(path, sizes):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["subset_size", "count"])
-        for size in sorted(sizes):
-            writer.writerow([size, sizes[size]])
+    write_csv(path, ["subset_size", "count"], ((s, sizes[s]) for s in sorted(sizes)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Design construction: term expansion, collinearity filtering, site blocks."""
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .pointdata import format_float
+from .pointdata import format_float, write_csv
 from .terms import MAX_ORDER, RawDesign, TermSpec, evaluate_term
 
 log = logging.getLogger(__name__)
@@ -187,12 +186,11 @@ def filter_collinear(design, threshold=0.95, hierarchy=None, seed=0):
 
 
 def write_removal_log(path, records):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["discarded_term", "retained_term", "abs_r", "rule_step"])
-        for rec in records:
-            r_text = "" if np.isnan(rec.abs_r) else format_float(rec.abs_r)
-            writer.writerow([rec.discarded_term, rec.retained_term, r_text, rec.rule_step])
+    rows = []
+    for rec in records:
+        r_text = "" if np.isnan(rec.abs_r) else format_float(rec.abs_r)
+        rows.append([rec.discarded_term, rec.retained_term, r_text, rec.rule_step])
+    write_csv(path, ["discarded_term", "retained_term", "abs_r", "rule_step"], rows)
 
 
 def assemble_site_blocks(design):

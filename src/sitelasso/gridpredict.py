@@ -12,18 +12,21 @@ of splits.
 Prediction runs a block of whole rows at a time (``pointdata.row_blocks``,
 about 4,096 cells), so it holds the covariate rasters plus one block's
 masks, gathered values and output, whatever the size of the grid.
-:func:`prediction_rows` and :func:`two_stage_rows` hand out the blocks as
-they are computed, and ``run`` writes each one to disk before the next
+:func:`prediction_rows` hands out the blocks as they are computed, and
+``run`` writes each one to disk before the next
 (``rasters.write_ascii_rows``). A caller that wants the whole raster in
 memory stacks them: ``grid.with_values(np.vstack(list(blocks)))``. Sites
 come from the site raster as int8 codes (:func:`sites_from_raster`); one
 site everywhere is ``([name], codes)`` with every code 0.
 
-Method 3's two-stage raster is stage 1 plus the stage-2 function of each
-pixel's own site; every output pixel is evaluated once per stage.
+A prediction is a list of stages whose values add up, each an ensemble and
+the sites it applies at (``pipeline.MethodRun.stages``). Methods 1, 2 and 4
+have one stage at every site; method 3 has stage 1 at the sites with a
+stage 2, plus each site's stage 2 at that site alone. Every output pixel is
+evaluated once per stage that applies at its site.
 
 Output nodata is the union of the input nodata masks over the covariates the
-ensemble actually reads (unused rasters do not propagate nodata), plus the
+stages actually read (unused rasters do not propagate nodata), plus the
 site raster's mask when the prediction is site-specific.
 """
 
@@ -38,8 +41,8 @@ from .pointdata import row_blocks
 __all__ = [
     "check_registration",
     "prediction_rows",
+    "site_specific",
     "sites_from_raster",
-    "two_stage_rows",
 ]
 
 
@@ -127,34 +130,40 @@ def _part(form, index):
     return _Part(form, np.array([*index, -1], dtype=np.intp), form.covariates)
 
 
-def _single(ensemble, rasters, sites):
-    """(codes, parts) of a one-stage prediction; see :func:`prediction_rows`."""
-    form = _check_covariates(linear_form(ensemble), rasters)
-    if sites is not None:
-        names, codes = sites
-        return codes, [_part(form, form.site_index(names))]
-    if form.sites:
-        raise DataError("this ensemble has site-scoped terms; pass sites=")
-    return None, [_part(form, [0])]
+def site_specific(stages):
+    """Whether a prediction needs site codes: some stage applies at chosen
+    sites only, or reads a site-scoped term."""
+    return any(where is not None or linear_form(ens).sites for ens, where in stages)
 
 
-def _two_stage(stage1_ensemble, stage2_by_site, rasters, sites):
-    """(codes, parts) of a two-stage prediction; see :func:`two_stage_rows`."""
+def _has_pixels(codes, wanted):
+    """Whether any pixel carries one of the site codes ``wanted``; the codes
+    are searched in blocks, as the prediction reads them."""
+    return any(
+        (codes[block] == code).any()
+        for code in wanted
+        for block in row_blocks(codes.size, 1)
+    )
+
+
+def _parts(stages, rasters, sites):
+    """(codes, parts) of a prediction; see :func:`prediction_rows`."""
+    if sites is None:
+        if site_specific(stages):
+            raise DataError("this prediction is site-specific; pass sites=")
+        forms = (_check_covariates(linear_form(ens), rasters) for ens, _ in stages)
+        return None, [_part(form, [0]) for form in forms]
     names, codes = sites
-    stage1 = _check_covariates(linear_form(stage1_ensemble), rasters)
-    # the stage 2 of a site without pixels is never evaluated and needs no
-    # raster; the codes are searched in blocks, as the prediction reads them
-    stage2 = {
-        name: _check_covariates(linear_form(stage2_by_site[name]), rasters)
-        for code, name in enumerate(names)
-        if name in stage2_by_site
-        and any((codes[block] == code).any() for block in row_blocks(codes.size, 1))
-    }
-    first = [stage1.site_index([n])[0] if n in stage2 else -1 for n in names]
-    parts = [_part(stage1, first)]
-    for name, form in stage2.items():
-        own = [form.site_index([name])[0] if n == name else -1 for n in names]
-        parts.append(_part(form, own))
+    parts = []
+    for k, (ensemble, where) in enumerate(stages):
+        at = [where is None or name in where for name in names]
+        # a later stage whose sites have no pixel is never evaluated and
+        # needs no raster
+        if k and not _has_pixels(codes, [code for code, on in enumerate(at) if on]):
+            continue
+        form = _check_covariates(linear_form(ensemble), rasters)
+        index = [i if on else -1 for i, on in zip(form.site_index(names), at)]
+        parts.append(_part(form, index))
     return codes, parts
 
 
@@ -198,29 +207,22 @@ def _rows(grid, rasters, codes, parts):
         yield out.reshape(-1, grid.ncols)
 
 
-def prediction_rows(ensemble, rasters, sites=None):
-    """Model-averaged prediction raster for one ensemble, as ``(grid, blocks)``.
+def prediction_rows(stages, rasters, sites=None):
+    """Model-averaged prediction raster, as ``(grid, blocks)``.
+
+    ``stages`` lists ``(ensemble, where)`` pairs whose predictions add up:
+    ``where`` is the tuple of sites a stage applies at, or None for every
+    site. A pixel is predicted where the first stage applies and no stage
+    that applies there misses a covariate; a later stage whose sites have no
+    pixel is skipped and needs no raster.
 
     ``rasters`` maps covariate name to a co-registered RasterGrid. ``grid``
     is the covariate raster whose header the output takes (the first by
     name) and ``blocks`` yields the output's rows in ``pointdata.row_blocks``
-    order. Site identity (needed only when the ensemble carries site-scoped
-    terms) comes from ``sites``, the ``(names, codes)`` that
-    :func:`sites_from_raster` gives for a raster co-registered with
-    ``rasters``; a pixel with code -1 is nodata.
+    order. Site identity (needed when :func:`site_specific` says so) comes
+    from ``sites``, the ``(names, codes)`` that :func:`sites_from_raster`
+    gives for a raster co-registered with ``rasters``; a pixel with code -1
+    is nodata.
     """
     grid = _reference_grid(rasters)
-    return grid, _rows(grid, rasters, *_single(ensemble, rasters, sites))
-
-
-def two_stage_rows(stage1_ensemble, stage2_by_site, rasters, sites):
-    """Prediction raster for a base ensemble plus per-site residual stages,
-    as ``(grid, blocks)``; see :func:`prediction_rows`.
-
-    Each pixel gets stage 1 plus the stage-2 ensemble of its own site.
-    Pixels whose site is unknown (code -1) or has no stage 2 are nodata, as
-    are pixels missing a covariate either stage reads.
-    """
-    grid = _reference_grid(rasters)
-    parts = _two_stage(stage1_ensemble, stage2_by_site, rasters, sites)
-    return grid, _rows(grid, rasters, *parts)
+    return grid, _rows(grid, rasters, *_parts(stages, rasters, sites))

@@ -14,7 +14,6 @@ one. Method 4's site blocks copy the combined survivors, so method 2's
 columns are always a subset of method 4's.
 """
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .ensemble import fit_ensemble, linear_form, member_predictions, model_avera
 from .errors import DataError
 from .features import assemble_site_blocks, expand_terms, filter_collinear
 from .models import fit_metrics
-from .pointdata import format_float
+from .pointdata import format_float, write_csv
 from .terms import evaluate_term
 
 log = logging.getLogger(__name__)
@@ -55,12 +54,30 @@ class MethodRun:
             return self.ensemble.terms
         return self.stage1.terms
 
+    @property
+    def stages(self):
+        """The raster prediction as ``gridpredict.prediction_rows`` stages:
+        the ensemble at every site, or stage 1 at the sites with a stage 2
+        plus each site's stage 2 at that site."""
+        if self.stage2 is None:
+            return [(self.ensemble, None)]
+        stage2 = [(ens, (site,)) for site, ens in sorted(self.stage2.items())]
+        return [(self.stage1.ensemble, tuple(self.stage2)), *stage2]
+
     def ensembles_by_label(self):
-        """(label, ensemble) pairs for serialization and tallies."""
-        if self.method == "m3":
-            out = [("stage2_" + site, ens) for site, ens in sorted(self.stage2.items())]
-            return out
-        return [("", self.ensemble)]
+        """(label, site, ensemble) triples for serialization and tallies;
+        the label is empty for a method's only ensemble."""
+        if self.stage2 is None:
+            return [("", self.site, self.ensemble)]
+        return [("stage2_" + site, site, ens) for site, ens in sorted(self.stage2.items())]
+
+    def reports(self, label):
+        """(column, predictions, metrics) of each reported variant, the
+        headline first under ``label``, then method 3's out-of-sample one."""
+        out = [(label, self.predictions, self.metrics)]
+        if self.predictions_oos is not None:
+            out.append((f"{label}-oos", self.predictions_oos, self.metrics_oos))
+        return out
 
 
 def _plan_ref(plan):
@@ -359,24 +376,19 @@ def covariate_support_report(first, second, terms):
 
 
 def write_support_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["term", "site", "min", "q25", "median", "q75", "max", "outside_other_range"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.term,
-                    r.site,
-                    format_float(r.minimum),
-                    format_float(r.q25),
-                    format_float(r.median),
-                    format_float(r.q75),
-                    format_float(r.maximum),
-                    int(r.outside_other_range),
-                ]
-            )
+    write_csv(
+        path,
+        ["term", "site", "min", "q25", "median", "q75", "max", "outside_other_range"],
+        (
+            [
+                r.term,
+                r.site,
+                *map(format_float, (r.minimum, r.q25, r.median, r.q75, r.maximum)),
+                int(r.outside_other_range),
+            ]
+            for r in rows
+        ),
+    )
 
 
 def write_residuals_csv(path, data, row_ids, predictions):
@@ -385,21 +397,13 @@ def write_residuals_csv(path, data, row_ids, predictions):
     preds = np.asarray(predictions, dtype=np.float64)
     if idx.shape != preds.shape:
         raise DataError("row ids and predictions have mixed lengths")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["site", "x", "y", "observed", "predicted", "residual"])
-        for i, pred in zip(idx, preds):
-            obs = float(data.response[i])
-            writer.writerow(
-                [
-                    data.site_ids[i],
-                    format_float(float(data.x[i])),
-                    format_float(float(data.y[i])),
-                    format_float(obs),
-                    format_float(float(pred)),
-                    format_float(obs - float(pred)),
-                ]
-            )
+    obs = data.response[idx]
+    numbers = zip(data.x[idx], data.y[idx], obs, preds, obs - preds)
+    write_csv(
+        path,
+        ["site", "x", "y", "observed", "predicted", "residual"],
+        ([site, *map(format_float, row)] for site, row in zip(data.site_ids[idx], numbers)),
+    )
 
 
 def write_method_comparison_csv(path, table, targets, methods):
@@ -408,18 +412,17 @@ def write_method_comparison_csv(path, table, targets, methods):
     ``table`` maps method label -> target -> FitMetrics; missing cells are
     written as NA.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = ["target"]
+    header = ["target"]
+    for m in methods:
+        header += [f"{m}_r2", f"{m}_rmse"]
+    rows = []
+    for target in targets:
+        row = [target]
         for m in methods:
-            header += [f"{m}_r2", f"{m}_rmse"]
-        writer.writerow(header)
-        for target in targets:
-            row = [target]
-            for m in methods:
-                cell = table.get(m, {}).get(target)
-                if cell is None:
-                    row += ["NA", "NA"]
-                else:
-                    row += [format_float(cell.r2), format_float(cell.rmse)]
-            writer.writerow(row)
+            cell = table.get(m, {}).get(target)
+            if cell is None:
+                row += ["NA", "NA"]
+            else:
+                row += [format_float(cell.r2), format_float(cell.rmse)]
+        rows.append(row)
+    write_csv(path, header, rows)

@@ -397,6 +397,15 @@ def read_points_csv(path):
     )
 
 
+def write_csv(path, header, rows):
+    """Write a header and rows as every CSV of this package is written:
+    UTF-8, ``\n`` line ends, fields quoted by ``csv.writer`` where needed."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _csv_field(text):
     """``text`` as csv.writer writes it in a row of this package's CSVs."""
     buffer = io.StringIO()

@@ -17,14 +17,13 @@ The transform is the one record of a standardization; its ``transform_id``
 is hashed only where an ensemble artifact is written or read.
 """
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .pointdata import format_float
+from .pointdata import format_float, write_csv
 
 # transform_id hashes a few short lines per transform, so it takes CPython's
 # built-in SHA-1: importing hashlib loads OpenSSL, 3.4-3.7 MB of RSS in every
@@ -215,10 +214,9 @@ TRANSFORM_CSV_HEADER = ["column_id", "mean", "norm", "dropped"]
 
 def write_transform_csv(path, transform):
     """Serialize a transform; schema v1, one row per fit-time column."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRANSFORM_CSV_HEADER)
-        for term, m, s, d in zip(
-            transform.terms, transform.means, transform.norms, transform.dropped
-        ):
-            writer.writerow([term.term_id, format_float(m), format_float(s), int(d)])
+    columns = zip(transform.terms, transform.means, transform.norms, transform.dropped)
+    write_csv(
+        path,
+        TRANSFORM_CSV_HEADER,
+        ([t.term_id, format_float(m), format_float(s), int(d)] for t, m, s, d in columns),
+    )

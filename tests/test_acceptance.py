@@ -29,7 +29,7 @@ from _toys import assembled
 
 from sitelasso.errors import NumericalError
 from sitelasso.cli import main
-from sitelasso.ensemble import ensemble_weights, model_average, tally_selection
+from sitelasso.ensemble import ensemble_weights, linear_form, model_average, tally_selection
 from sitelasso.features import assemble_site_blocks, expand_terms, filter_collinear
 from sitelasso.gridpredict import prediction_rows
 from sitelasso.lars import lar_lasso_path
@@ -452,7 +452,7 @@ def test_criterion_10_raster_matches_scalar_oracle_with_nodata_closure():
     run = run_method2(RunDesigns(data), plan, workers=1)
     ens = run.ensemble
 
-    needed = ens.needed_covariates()
+    needed = linear_form(ens).covariates
     rasters[needed[0]].values[7, 11] = rasters[needed[0]].nodata  # pierce one pixel
     unused = rasters[needed[0]].with_values(
         np.full_like(rasters[needed[0]].values, 3.25)
@@ -461,7 +461,7 @@ def test_criterion_10_raster_matches_scalar_oracle_with_nodata_closure():
     all_rasters = dict(rasters)
     all_rasters["spare"] = unused  # present but never read by any model
 
-    grid = assembled(*prediction_rows(ens, all_rasters))
+    grid = assembled(*prediction_rows(run.stages, all_rasters))
     expected_mask = np.zeros_like(grid.nodata_mask())
     for name in needed:
         expected_mask |= rasters[name].nodata_mask()

@@ -14,6 +14,7 @@ from _toys import quickstart_config
 import sitelasso
 from sitelasso import artifacts, pipeline
 from sitelasso.cli import _EXIT_BY_ERROR, main
+from sitelasso.ensemble import linear_form
 from sitelasso.errors import ConfigError, DataError, NumericalError
 
 SYNTH_SPEC = """\
@@ -204,6 +205,31 @@ def test_method3_alone_fits_its_own_stage1(workspace):
     full = workspace["run"]
     diff = [n for n in names if not filecmp.cmp(full / n, alone / n, shallow=False)]
     assert diff == []
+
+
+def test_run_without_a_site_raster_skips_only_site_specific_rasters(workspace):
+    out = workspace["base"] / "run_no_site_raster"
+    cfg = workspace["base"] / "run_no_site_raster.cfg"
+    lines = RUN_CFG.format(
+        points=workspace["synth"] / "points.csv",
+        out=out,
+        rasters=workspace["synth"] / "rasters",
+        site="",
+    ).splitlines(keepends=True)
+    cfg.write_text("".join(l for l in lines if not l.startswith("site_")))
+    assert main(["run", str(cfg)]) == 0
+    # m1 and m2 read no site codes, so the site raster does not change them
+    for tag in ("m1_b1", "m1_b2", "m2"):
+        name = f"prediction_{tag}.asc"
+        assert filecmp.cmp(workspace["run"] / name, out / name, shallow=False)
+    assert not (out / "prediction_m3.asc").exists()
+    m4 = artifacts.ensemble_from_dict(artifacts.read_json(out / "ensemble_m4.json"))
+    m4_scoped = bool(linear_form(m4).sites)
+    assert (out / "prediction_m4.asc").exists() != m4_scoped
+    expected = ["m3: needs site_raster"] + ["m4: needs site_raster"] * m4_scoped
+    manifest = artifacts.read_json(out / "manifest.json")
+    assert manifest["rasters_skipped"] == expected
+    assert artifacts.verify_manifest(str(out)) == []
 
 
 def test_worker_count_does_not_change_outputs(workspace):

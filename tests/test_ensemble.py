@@ -133,7 +133,7 @@ def test_model_average_matches_spec_route(site_blocks):
     # the collapsed linear form must equal the literal route: apply each
     # model's own transform to the shared raw design, predict, weight, sum
     data, design, ens = fitted_toy_ensemble(site_blocks=site_blocks)
-    assert ens.needs_site_information() == site_blocks
+    assert bool(linear_form(ens).sites) == site_blocks
     fast = model_average(ens, design)
     slow = np.zeros(design.n_rows)
     for member, transform, weight in zip(members(ens), ens.transforms, ens.weights):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,8 @@ from sitelasso.errors import DataError
 from sitelasso.gridpredict import (
     check_registration,
     prediction_rows,
+    site_specific,
     sites_from_raster,
-    two_stage_rows,
 )
 from sitelasso.pipeline import RunDesigns, run_method2, run_method3, run_method4
 from sitelasso.rasters import RasterGrid, write_ascii_grid, write_ascii_rows
@@ -60,11 +61,11 @@ def test_single_model_raster_matches_pointwise_predict():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
     run = run_method2(RunDesigns(data), plan, workers=1)
-    grid = assembled(*prediction_rows(run.ensemble, rasters))
+    grid = assembled(*prediction_rows(run.stages, rasters))
     # scalar-path oracle: recompute each pixel independently
     ens = run.ensemble
     mask = np.zeros(grid.values.size, dtype=bool)
-    for name in ens.needed_covariates():
+    for name in linear_form(ens).covariates:
         mask |= rasters[name].nodata_mask().ravel()
     flat = grid.values.ravel()
     rng = np.random.default_rng(0)
@@ -79,15 +80,15 @@ def test_two_stage_raster_matches_scalar_oracle():
     plan = small_plan(data, n_splits=5)
     run3 = run_method3(RunDesigns(data), plan, workers=1)
     stage1 = run3.stage1.ensemble
-    pierced = stage1.needed_covariates()[0]
+    pierced = linear_form(stage1).covariates[0]
     rasters[pierced].values[2, 1] = rasters[pierced].nodata
     codes = {1.0: "B1", 2.0: "B2"}
-    grid = assembled(*two_stage_rows(stage1, run3.stage2, rasters, sites_from_raster(site_grid, codes)))
+    grid = assembled(*prediction_rows(run3.stages, rasters, sites_from_raster(site_grid, codes)))
     site_values = site_grid.values.ravel()
     expected_bad = site_grid.nodata_mask().ravel() | rasters[pierced].nodata_mask().ravel()
     for code, site in codes.items():
         own = site_values == code
-        for name in run3.stage2[site].needed_covariates():
+        for name in linear_form(run3.stage2[site]).covariates:
             expected_bad |= own & rasters[name].nodata_mask().ravel()
     assert site_grid.nodata_mask().any()
     assert np.array_equal(grid.nodata_mask().ravel(), expected_bad)
@@ -103,14 +104,14 @@ def test_nodata_closure_only_over_needed_covariates():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=4)
     run = run_method2(RunDesigns(data), plan, workers=1)
-    needed = run.ensemble.needed_covariates()
+    needed = linear_form(run.ensemble).covariates
     unused = [n for n in rasters if n not in needed]
     # poke nodata into a needed raster and (if any) an unused raster
     target = needed[0]
     rasters[target].values[3, 4] = rasters[target].nodata
     if unused:
         rasters[unused[0]].values[5, 5] = rasters[unused[0]].nodata
-    grid = assembled(*prediction_rows(run.ensemble, rasters))
+    grid = assembled(*prediction_rows(run.stages, rasters))
     out_mask = grid.nodata_mask()
     expected = np.zeros_like(out_mask)
     for name in needed:
@@ -127,7 +128,7 @@ def test_intercept_only_ensemble_gives_weighted_constant():
     run = run_method2(RunDesigns(data), plan, workers=1)
     ens = run.ensemble
     ens.coefs[:] = 0.0
-    grid = assembled(*prediction_rows(ens, rasters))
+    grid = assembled(*prediction_rows([(ens, None)], rasters))
     expected = float(ens.weights @ ens.intercepts)
     valid = ~grid.nodata_mask()
     assert np.allclose(grid.values[valid], expected, atol=1e-12)
@@ -150,26 +151,26 @@ def test_grid_mismatch_and_missing_covariate_errors():
     broken["cov0"] = shifted
     # cov0 is the reference grid, so the first raster that differs from it is named
     with pytest.raises(DataError, match="^raster cov1: xllcorner 0 differs from 1 in cov0$"):
-        prediction_rows(run.ensemble, broken)
-    needed = run.ensemble.needed_covariates()
+        prediction_rows(run.stages, broken)
+    needed = linear_form(run.ensemble).covariates
     partial = {k: v for k, v in rasters.items() if k != needed[0]}
     with pytest.raises(DataError, match=needed[0]):
-        prediction_rows(run.ensemble, partial)
+        prediction_rows(run.stages, partial)
 
 
 def test_site_scoped_ensemble_needs_and_uses_site_information():
     data, rasters, site_grid, truth = synth_setup()
     plan = small_plan(data, n_splits=5)
     run = run_method4(RunDesigns(data), plan, workers=1)
-    if not run.ensemble.needs_site_information():
+    if not linear_form(run.ensemble).sites:
         pytest.skip("no scoped term survived selection in this toy")
     with pytest.raises(DataError, match="site"):
-        prediction_rows(run.ensemble, rasters)
+        prediction_rows(run.stages, rasters)
     codes = {1.0: "B1", 2.0: "B2"}
-    grid = assembled(*prediction_rows(run.ensemble, rasters, sites=sites_from_raster(site_grid, codes)))
+    grid = assembled(*prediction_rows(run.stages, rasters, sites=sites_from_raster(site_grid, codes)))
     # oracle: evaluate the ensemble on the pixel rows with known sites
     mask = site_grid.nodata_mask().ravel()
-    for name in run.ensemble.needed_covariates():
+    for name in linear_form(run.ensemble).covariates:
         mask |= rasters[name].nodata_mask().ravel()
     valid = np.flatnonzero(~mask)
     sites = np.where(
@@ -191,13 +192,13 @@ def test_two_stage_raster_adds_site_amendments():
     plan = small_plan(data, n_splits=5)
     run3 = run_method3(RunDesigns(data), plan, workers=1)
     codes = {1.0: "B1", 2.0: "B2"}
-    combined = assembled(*two_stage_rows(
-        run3.stage1.ensemble, run3.stage2, rasters, sites_from_raster(site_grid, codes)
+    combined = assembled(*prediction_rows(
+        run3.stages, rasters, sites_from_raster(site_grid, codes)
     ))
-    base = assembled(*prediction_rows(run3.stage1.ensemble, rasters))
+    base = assembled(*prediction_rows(run3.stage1.stages, rasters))
     everywhere = np.zeros(site_grid.values.size, dtype=np.int8)
     for site, code in (("B1", 1.0), ("B2", 2.0)):
-        amend = assembled(*prediction_rows(run3.stage2[site], rasters, sites=([site], everywhere)))
+        amend = assembled(*prediction_rows([(run3.stage2[site], None)], rasters, sites=([site], everywhere)))
         sel = (site_grid.values == code) & ~combined.nodata_mask()
         assert sel.any()
         np.testing.assert_allclose(
@@ -227,12 +228,12 @@ def test_two_stage_raster_skips_stage2_of_a_site_without_pixels():
         validation_rows=[np.zeros(0, dtype=np.intp)],
     )
     codes = {1.0: "B1", 2.0: "B2"}
-    base = assembled(*two_stage_rows(
-        run3.stage1.ensemble, run3.stage2, rasters, sites_from_raster(site_grid, codes)
+    base = assembled(*prediction_rows(
+        run3.stages, rasters, sites_from_raster(site_grid, codes)
     ))
-    grid = assembled(*two_stage_rows(
-        run3.stage1.ensemble, {**run3.stage2, "B3": unseen}, rasters,
-        sites_from_raster(site_grid, {**codes, 3.0: "B3"}),
+    ghost_run = dataclasses.replace(run3, stage2={**run3.stage2, "B3": unseen})
+    grid = assembled(*prediction_rows(
+        ghost_run.stages, rasters, sites_from_raster(site_grid, {**codes, 3.0: "B3"}),
     ))
     assert np.array_equal(grid.values, base.values)
 
@@ -242,7 +243,7 @@ def test_raster_point_consistency():
     plan = small_plan(data, n_splits=5)
     run = run_method2(RunDesigns(data), plan, workers=1)
     ens = run.ensemble
-    grid = assembled(*prediction_rows(ens, rasters))
+    grid = assembled(*prediction_rows([(ens, None)], rasters))
     # build a fake point whose covariates equal one pixel's values
     pix_row, pix_col = 4, 7
     cov = {
@@ -304,7 +305,7 @@ def streamed_setup():
         "m3": run_method3(designs, plan, workers=1),
         "m4": run_method4(designs, plan, workers=1),
     }
-    assert runs["m4"].ensemble.needs_site_information()
+    assert linear_form(runs["m4"].ensemble).sites
     for name in ("cov0", "cov1"):
         rasters[name].values[[5, 40, 89], [0, 60, 119]] = rasters[name].nodata
     assert site_grid.nodata_mask().any()
@@ -322,12 +323,8 @@ def test_streamed_raster_equals_the_written_assembled_raster(streamed_setup, met
     rasters, site_grid, runs = streamed_setup
     run = runs[method]
     sites = sites_from_raster(site_grid, CODES)
-    if method == "m3":
-        stream = lambda: two_stage_rows(run.stage1.ensemble, run.stage2, rasters, sites)
-    elif method == "m4":
-        stream = lambda: prediction_rows(run.ensemble, rasters, sites=sites)
-    else:
-        stream = lambda: prediction_rows(run.ensemble, rasters)
+    assert site_specific(run.stages) == (method != "m2")
+    stream = lambda: prediction_rows(run.stages, rasters, sites if method != "m2" else None)
     grid = assembled(*stream())
     header, blocks = stream()
     write_ascii_grid(tmp_path / "assembled.asc", grid)
@@ -367,7 +364,7 @@ def _stream_peak(path, run, n_rows):
     codes = np.repeat(np.array([0, 1, -1], dtype=np.int8), [n_rows * 400, n_rows * 500, n_rows * 100])
     tracemalloc.start()
     try:
-        grid, blocks = two_stage_rows(run.stage1.ensemble, run.stage2, rasters, (["B1", "B2"], codes))
+        grid, blocks = prediction_rows(run.stages, rasters, (["B1", "B2"], codes))
         write_ascii_rows(path, grid, blocks)
         return tracemalloc.get_traced_memory()[1]
     finally:

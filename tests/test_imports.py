@@ -85,3 +85,19 @@ def test_every_public_name_is_read_by_the_package_or_documented():
         if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert not dead, f"exported but neither read by the package nor in README.md: {dead}"
+
+
+def test_csv_writer_is_called_only_by_pointdata():
+    # every CSV the package writes goes through pointdata.write_csv, so
+    # quoting, encoding and line ends are decided in one place
+    callers = sorted(
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "writer"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "csv"
+    )
+    assert set(callers) == {"pointdata.py"}, callers

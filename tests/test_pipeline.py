@@ -3,7 +3,7 @@ import pytest
 from _spec_route import build_term_matrix
 from _toys import two_site_data
 
-from sitelasso.ensemble import model_average
+from sitelasso.ensemble import linear_form, model_average
 from sitelasso.errors import DataError
 from sitelasso.pipeline import (
     COMBINED,
@@ -114,7 +114,7 @@ def test_transfer_missing_covariate_errors(setup):
         target.covariate_names[:1],
         target.covariate_values[:, :1],
     )
-    needed = source.ensemble.needed_covariates()
+    needed = linear_form(source.ensemble).covariates
     if all(c == "c0" for c in needed):
         pytest.skip("models only used c0; cannot exercise the error")
     with pytest.raises(DataError, match="covariate"):
