@@ -132,9 +132,11 @@ _HASH_BYTES = 1 << 16
 
 def sha256_file(path):
     # hashlib is imported here, not at module level: it loads OpenSSL (3.4-3.7
-    # MB of RSS), and only run, synth and verify_manifest hash files. Files
-    # stay on OpenSSL's SHA-256, which hashes about 1.2 GB/s against about 0.2
-    # GB/s for CPython's built-in _sha256, and a raster set-up hashes 31 MB.
+    # MB of RSS), and only run, synth and verify_manifest hash files. run
+    # draws its splits without numpy.random, so this load, at manifest time,
+    # is now the peak of run's RSS. Files stay on OpenSSL's SHA-256, which
+    # hashes about 1.2 GB/s against about 0.2 GB/s for CPython's built-in
+    # _sha256, and a raster set-up hashes 31 MB.
     import hashlib
 
     digest = hashlib.sha256()

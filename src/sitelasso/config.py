@@ -185,6 +185,8 @@ class RunConfig:
             raise ConfigError("methods must not be empty")
         if self.n_splits < 1:
             raise ConfigError("n_splits must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.train_quota < 0:
             raise ConfigError("train_quota must be >= 0 (0 means two thirds per site)")
         for site, quota in self.train_quota_by_site.items():

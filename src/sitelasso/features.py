@@ -104,7 +104,7 @@ def _pick_retained(term_a, term_b, hierarchy, rng):
         return (0 if a_poly else 1), "single_over_interaction"
     if a_poly and term_a.order != term_b.order:
         return (0 if term_a.order < term_b.order else 1), "lower_order"
-    return int(rng.integers(2)), "random"
+    return rng.integers(2), "random"
 
 
 def filter_collinear(design, threshold=0.95, hierarchy=None, seed=0):
@@ -121,19 +121,31 @@ def filter_collinear(design, threshold=0.95, hierarchy=None, seed=0):
     threshold : float in (0, 1]
     hierarchy : mapping of covariate name to rank 1..10, optional
         Lower rank is retained first; unknown covariates rank 6.
-    seed : int
-        Drives the pseudo-random rule used when every other rule ties.
+    seed : int >= 0
+        Drives the pseudo-random rule used when every other rule ties: each
+        tie takes the next ``np.random.default_rng(seed).integers(2)``, bit for
+        bit, from the package's own PCG64 copy in :mod:`sitelasso.rng`.
 
     Returns
     -------
     (RawDesign, list of RemovalRecord)
+
+    Raises
+    ------
+    ConfigError for a negative seed; DataError for a bad threshold or rank,
+    or when no column survives.
     """
+    # imported here, as sha256_file imports hashlib: transfer and synth never
+    # filter, so they never load the module
+    from .rng import DefaultRng
+
     if not 0.0 < threshold <= 1.0:
         raise DataError(f"correlation threshold must be in (0, 1], got {threshold}")
     hierarchy = dict(hierarchy or {})
     for name, rank in hierarchy.items():
         if not 1 <= int(rank) <= MAX_RANK:
             raise DataError(f"hierarchy rank for {name!r} must be 1..10, got {rank}")
+    rng = DefaultRng(seed)
     X = design.values
     records = []
     alive = np.ones(design.n_cols, dtype=bool)
@@ -156,7 +168,6 @@ def filter_collinear(design, threshold=0.95, hierarchy=None, seed=0):
         absr = np.abs(corr[iu, ju])
         hits = absr > threshold
         order = np.lexsort((ju[hits], iu[hits], -absr[hits]))
-        rng = np.random.default_rng(seed)
         pairs_i = iu[hits][order]
         pairs_j = ju[hits][order]
         pair_r = absr[hits][order]

@@ -4,6 +4,10 @@ Each site is divided independently: ``n_splits`` unique ways of drawing the
 site's training quota, sampled with rejection against duplicates. Combined
 splits are the index-wise unions of the per-site ones, so every method sees
 the same divisions of the data.
+
+The training sets are the draws of ``np.random.default_rng(seed).choice(rows,
+quota, replace=False)``, bit for bit, taken from the package's own PCG64 copy
+in :mod:`sitelasso.rng` so that a run never imports ``numpy.random``.
 """
 
 import math
@@ -60,21 +64,25 @@ def make_splits(data, quotas, n_splits=500, seed=0):
     quotas : mapping of site id to training-set size
         Every site in ``data`` needs an entry, 1 <= quota < site size.
     n_splits : int
-    seed : int
+    seed : int >= 0
 
     Raises
     ------
-    ConfigError when a site cannot support ``n_splits`` distinct training
-    sets (the combinatorial bound is reported) or when rejection sampling
-    exceeds one million attempts.
+    ConfigError when the seed is negative, when a site cannot support
+    ``n_splits`` distinct training sets (the combinatorial bound is reported)
+    or when rejection sampling exceeds one million attempts.
     """
+    # imported here, as sha256_file imports hashlib: transfer and synth never
+    # draw splits, so they never load the module
+    from .rng import DefaultRng
+
     if n_splits < 1:
         raise ConfigError(f"n_splits must be positive, got {n_splits}")
     sites = data.sites()
     missing = [s for s in sites if s not in quotas]
     if missing:
         raise ConfigError(f"no training quota for sites: {missing}")
-    rng = np.random.default_rng(seed)
+    rng = DefaultRng(seed)
     site_plans = {}
     for site in sites:
         rows = data.site_rows(site)
@@ -104,7 +112,7 @@ def make_splits(data, quotas, n_splits=500, seed=0):
                     f"site {site}: failed to draw {n_splits} unique splits "
                     f"in {MAX_ATTEMPTS} attempts"
                 )
-            pick = np.sort(rng.choice(rows, size=quota, replace=False))
+            pick = np.sort(rows[rng.choice(rows.size, quota)])
             key = pick.tobytes()
             if key in seen:
                 continue

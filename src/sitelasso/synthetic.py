@@ -108,6 +108,8 @@ def _finite_settings(spec):
 
 
 def _validate_spec(spec):
+    if spec.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {spec.seed}")
     for key, value in _finite_settings(spec):
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")

@@ -676,10 +676,27 @@ def test_a_max_order_outside_1_to_4_ends_run_before_the_run_directory(
         assert not (tmp_path / "run").exists()
 
 
+def test_a_negative_seed_ends_run_and_synth_with_exit_code_2(
+    quickstart_data, tmp_path, capsys
+):
+    # numpy's SeedSequence used to reject these with a traceback and exit code 1
+    cfg = quickstart_config(
+        tmp_path, "run_quickstart.cfg", points=quickstart_data / "points.csv",
+        output_dir=tmp_path / "run", seed=-1,
+    )
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not (tmp_path / "run").exists()
+    spec = quickstart_config(tmp_path, "synth_quickstart.cfg", output_dir=tmp_path / "data", seed=-3)
+    assert main(["synth", spec]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -3"]
+    assert not (tmp_path / "data").exists()
+
+
 def test_run_and_transfer_do_not_load_numpy_ma(workspace, tmp_path):
     # numpy.ma costs about 1.3 MB of RSS; np.setdiff1d and np.quantile load
     # it through np.unique. transfer also leaves OpenSSL unloaded (3.4-3.7 MB);
-    # run hashes its outputs, and numpy.random loads it anyway.
+    # run loads it to hash its outputs.
     code = (
         "import sys; from sitelasso.cli import main; rc = main(sys.argv[1:]); "
         "print(rc, [m for m in ('numpy.ma', 'hashlib', '_hashlib') if m in sys.modules])"
@@ -698,6 +715,29 @@ def test_run_and_transfer_do_not_load_numpy_ma(workspace, tmp_path):
         )
         assert out.stdout.splitlines()[-1] == expected, args
     assert (tmp_path / "transfer" / "support_report.csv").exists()
+
+
+def test_run_loads_no_numpy_random_and_transfer_no_hashlib(workspace, tmp_path):
+    # run draws its splits and tie-breaks from sitelasso.rng: numpy.random
+    # would load secrets and hmac, and through them OpenSSL, for about 6 MB of
+    # RSS. transfer hashes nothing, so it loads none of them
+    code = (
+        "import sys; from sitelasso.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, [m for m in ('numpy.random', 'secrets', 'hmac', 'hashlib') "
+        "if m in sys.modules])"
+    )
+    run_dir = tmp_path / "run"
+    commands = [
+        (["run", str(workspace["cfg"]), "--output-dir", str(run_dir)], "0 ['hashlib']"),
+        (["transfer", str(run_dir), str(workspace["synth"] / "points.csv"),
+          "--output-dir", str(tmp_path / "transfer")], "0 []"),
+    ]
+    for args, expected in commands:
+        out = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=package_env(), capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == expected, args
 
 
 def test_quickstart_paths_end_without_a_degenerate_stop(quickstart_data, tmp_path):
